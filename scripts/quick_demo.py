@@ -1,4 +1,4 @@
-"""Half-minute smoke run on a shortened road; prints the PRR summary table."""
+"""Smoke run of about a second on a shortened road; prints the PRR summary table."""
 
 import sys
 from pathlib import Path

@@ -32,14 +32,6 @@ class LinkBudgetConfig:
         return errors
 
 
-def dbm_to_mw(dbm):
-    return 10.0 ** (np.asarray(dbm, dtype=float) / 10.0)
-
-
-def mw_to_dbm(mw):
-    return 10.0 * np.log10(mw)
-
-
 def breakpoint_distance_m(carrier_ghz: float, h_eff_m: float = EFFECTIVE_ANTENNA_HEIGHT_M) -> float:
     return 4.0 * h_eff_m * h_eff_m * carrier_ghz * 1e9 / SPEED_OF_LIGHT_MPS
 
@@ -86,13 +78,11 @@ class ShadowingField:
     endpoint moving decorrelates the link.
     """
 
-    def __init__(self, n_nodes: int, sigma_db: float = 3.0, decorr_m: float = 25.0,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, n_nodes: int, sigma_db: float, decorr_m: float,
+                 rng: np.random.Generator):
         self.n = n_nodes
         self.sigma_db = sigma_db
         self.decorr_m = decorr_m
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.values_db = self._symmetric_normal(rng)
 
     def _symmetric_normal(self, rng: np.random.Generator) -> np.ndarray:
@@ -100,43 +90,28 @@ class ShadowingField:
         upper = np.triu(draw, 1)
         return upper + upper.T
 
-    def step(self, moved_m, rng: np.random.Generator) -> np.ndarray:
+    def step(self, moved_m, rng: np.random.Generator) -> None:
         """Advance all pairs by a displacement (scalar or per-pair matrix)."""
         noise = self._symmetric_normal(rng)
         self.values_db = ar1_shadowing_step(self.values_db, moved_m, self.sigma_db,
                                             self.decorr_m, noise)
-        return self.values_db
-
-    def pair(self, a: int, b: int) -> float:
-        return float(self.values_db[a, b])
 
 
-def rx_power_dbm(tx_power_dbm: float, tx_gain_db: float, rx_gain_db: float,
-                 pl_db, shadow_db):
-    return tx_power_dbm + tx_gain_db + rx_gain_db - pl_db - shadow_db
+def rx_power_mw(pl_db, shadow_db, cfg: LinkBudgetConfig):
+    """Received power in mW: EIRP plus receive gain, minus path loss and
+    shadowing (all in dB; scalar or array)."""
+    rx_dbm = cfg.tx_power_dbm + cfg.tx_gain_db + cfg.rx_gain_db - pl_db - shadow_db
+    return 10.0 ** (rx_dbm / 10.0)
 
 
-def link_rx_power_dbm(d_m, cfg: LinkBudgetConfig, shadow_db=0.0):
-    """Full link budget for a transmitter-receiver separation."""
-    return rx_power_dbm(cfg.tx_power_dbm, cfg.tx_gain_db, cfg.rx_gain_db,
-                        path_loss_db(d_m, cfg), shadow_db)
+def sinr_db(rx_mw, interf_mw_us, dur_us, noise_mw):
+    """Time-averaged SINR over a frame's airtime, in dB.
 
-
-def average_sinr_db(desired_power_dbm: float,
-                    interferer_intervals: list[tuple[float, float]],
-                    noise_dbm: float) -> float:
-    """Time-averaged SINR over the desired packet's airtime, in dB.
-
-    Each interferer contributes power_mw * overlap_fraction, with the fraction
-    measured against the desired packet's own airtime.
+    Interference arrives as energy (mW*us) accumulated over the overlaps with
+    the frame; spread over the frame duration it is the mean interference
+    power, added to the noise floor in the linear domain.
     """
-    desired_mw = float(dbm_to_mw(desired_power_dbm))
-    interference_mw = 0.0
-    for power_dbm, overlap_fraction in interferer_intervals:
-        if not 0.0 <= overlap_fraction <= 1.0:
-            raise ValueError(f"overlap fraction out of [0,1]: {overlap_fraction}")
-        interference_mw += float(dbm_to_mw(power_dbm)) * overlap_fraction
-    return float(mw_to_dbm(desired_mw / (float(dbm_to_mw(noise_dbm)) + interference_mw)))
+    return 10.0 * np.log10(rx_mw / (noise_mw + interf_mw_us / dur_us))
 
 
 @dataclass
@@ -214,11 +189,9 @@ def default_ltev2x_curve() -> PerCurve:
     return PerCurve.three_point(LTEV2X_PER_ANCHOR_DB)
 
 
-def decide_reception(per: float, rng: np.random.Generator) -> bool:
-    """Bernoulli(1 - per) success draw."""
-    if not 0.0 <= per <= 1.0:
-        raise ValueError(f"per must be in [0,1], got {per}")
-    return bool(rng.random() < 1.0 - per)
+def reception_success(per, draws):
+    """Bernoulli(1 - per) outcomes from uniform draws in [0, 1), elementwise."""
+    return draws < 1.0 - per
 
 
 @dataclass

@@ -24,8 +24,11 @@ from .channel import (
     default_ltev2x_curve,
     noise_floor_dbm,
     path_loss_db,
+    reception_success,
+    rx_power_mw,
+    sinr_db,
 )
-from .mac_itsg5 import CsmaConfig, CsmaMac, airtime_us
+from .mac_itsg5 import CsmaConfig, CsmaMac, airtime_us, cca_busy
 from .mac_ltev2x import OCCUPIED_US, TTI_US, SensingHistory, SpsConfig, SpsScheduler
 from .results import TECH_INDEX, PrrHistogram
 from .scenario import RoadConfig, Tech, Vehicle, advance_positions, distance_matrix, spawn
@@ -91,6 +94,11 @@ class EngineConfig:
             errors.append("max_distance_m must be > 0")
         if self.bin_width_m <= 0:
             errors.append("bin_width_m must be > 0")
+        # SPS repeats its reservation once per selection window; a beacon
+        # period of another length leaves CAMs waiting on a stale resource.
+        period_us = round(self.traffic.base_period_ms * 1000)
+        if self.sps.selection_window_ttis * TTI_US != period_us:
+            errors.append("selection_window_ttis must span exactly base_period_ms")
         return errors
 
 
@@ -191,8 +199,8 @@ class Simulation:
         if config.record_selections:
             for sched in self.sps.values():
                 sched.selection_log = []
-        self.sources = [CamSource(i, v.tech, config.traffic, self.rng["traffic"])
-                        for i, v in enumerate(vehicles)]
+        self.sources = [CamSource(v.tech, config.traffic, self.rng["traffic"])
+                        for v in vehicles]
 
         self.lte_pending: dict[int, Cam] = {}
         self.lte_sched: dict[int, list[tuple[int, int]]] = {}
@@ -246,9 +254,7 @@ class Simulation:
         cfg = self.cfg
         self.dist = distance_matrix(self.pos, self.lane, cfg.road.lane_width_m)
         pl = path_loss_db(self.dist, cfg.link)
-        rx_dbm = (cfg.link.tx_power_dbm + cfg.link.tx_gain_db + cfg.link.rx_gain_db
-                  - pl - self.shadow.values_db)
-        rx_mw = 10.0 ** (rx_dbm / 10.0)
+        rx_mw = rx_power_mw(pl, self.shadow.values_db, cfg.link)
         np.fill_diagonal(rx_mw, 0.0)
         self.rx_mw = rx_mw
 
@@ -262,9 +268,8 @@ class Simulation:
         self._last_int_us = t_us
 
     def _update_busy(self, t_us: int) -> None:
-        busy_new = (self.power_mw + self.noise_mw) >= self.cca_mw
-        if self.preamble_mw is not None:
-            busy_new |= self._preamble_count > 0
+        busy_new = cca_busy(self.power_mw, self.noise_mw, self.cca_mw,
+                            self._preamble_count)
         changed = np.nonzero(busy_new != self.busy)[0]
         if changed.size == 0:
             return
@@ -348,13 +353,12 @@ class Simulation:
         idx = np.nonzero(mask)[0]
         if idx.size == 0:
             return
-        dur = rec.end_us - rec.start_us
-        denom = self.noise_mw + rec.interf_mw_us[idx] / dur
-        sinr_db = 10.0 * np.log10(rec.rx_mw[idx] / denom)
-        per = self.curve[rec.lte].lookup(sinr_db)
+        sinr = sinr_db(rec.rx_mw[idx], rec.interf_mw_us[idx],
+                       rec.end_us - rec.start_us, self.noise_mw)
+        per = self.curve[rec.lte].lookup(sinr)
         draws = self.rng["reception"].random(idx.size)
         halfdup = rec.halfdup[idx]
-        success = (draws < 1.0 - per) & ~halfdup
+        success = reception_success(per, draws) & ~halfdup
         self.hist.record_many(TECH_INDEX[Tech.LTEV2X if rec.lte else Tech.ITSG5],
                               rec.dist_m[idx], success)
         self.counters["rx_opportunities"] += int(idx.size)
@@ -373,7 +377,7 @@ class Simulation:
 
         if self.cfg.lte_continuous_tx:
             for i in self.lte_ids:
-                cam = Cam(int(i), tti, t_us, self.cfg.traffic.payload_bytes)
+                cam = Cam(tti, t_us, self.cfg.traffic.payload_bytes)
                 self._begin_tx(int(i), cam, t_us, lte=True)
         else:
             for node, seq in self.lte_sched.pop(tti, ()):

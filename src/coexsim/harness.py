@@ -47,6 +47,17 @@ class ExperimentConfig:
         for x in self.mix_fractions:
             if not 0.0 <= x <= 1.0:
                 errors.append(f"mix_fractions entry {x} out of [0,1]")
+        # Each mix needs its own output files and its own seed streams.
+        for i, a in enumerate(self.mix_fractions):
+            for b in self.mix_fractions[i + 1:]:
+                shared = [csv_filename(m.value, a) for m in self.modes
+                          if csv_filename(m.value, a) == csv_filename(m.value, b)]
+                if shared:
+                    errors.append(f"mix_fractions entries {a} and {b} both write "
+                                  + ", ".join(shared))
+                if _mix_key(a) == _mix_key(b):
+                    errors.append(f"mix_fractions entries {a} and {b} share "
+                                  f"seed key {_mix_key(a)}")
         if not self.modes:
             errors.append("modes must be non-empty")
         if self.runs < 1:

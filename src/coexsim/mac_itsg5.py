@@ -63,9 +63,14 @@ def airtime_us(payload_bytes: int, cfg: CsmaConfig) -> int:
     return PREAMBLE_SIG_US + SYMBOL_US * n_symbols
 
 
-def cca_busy(total_inband_power_dbm: float, cfg: CsmaConfig) -> bool:
-    """Energy CCA over total in-band power, both technologies plus noise."""
-    return total_inband_power_dbm >= cfg.cca_threshold_dbm
+def cca_busy(power_mw, noise_mw, cca_mw, preamble_count):
+    """Two-tier CCA per node (elementwise over arrays).
+
+    Busy when the total in-band power of both technologies plus noise reaches
+    the energy threshold, or when at least one decodable ITS-G5 preamble is
+    on air. With preamble detection off the counts stay zero.
+    """
+    return ((power_mw + noise_mw) >= cca_mw) | (preamble_count > 0)
 
 
 class Phase(Enum):

@@ -1,30 +1,15 @@
-"""Sidelink Mode 4 scheduler: TTI grid, RSSI sensing history, SPS resource selection."""
+"""Sidelink Mode 4 scheduler: TTI timing, RSSI sensing history, SPS resource selection."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+# Globally synchronized 1 ms scheduling grid; the last OFDM symbol of every
+# TTI (71 us) is an unused guard.
 TTI_US = 1000
 OCCUPIED_US = 929
-GUARD_US = 71
-
-
-@dataclass(frozen=True)
-class TtiGrid:
-    """Globally synchronized 1 ms scheduling grid; the last OFDM symbol of
-    every TTI (71 us) is an unused guard."""
-
-    tti_us: int = TTI_US
-    occupied_us: int = OCCUPIED_US
-    guard_us: int = GUARD_US
-
-    def index(self, time_us: int) -> int:
-        return time_us // self.tti_us
-
-    def start_us(self, tti: int) -> int:
-        return tti * self.tti_us
 
 
 @dataclass
@@ -44,8 +29,12 @@ class SpsConfig:
             errors.append("keep_probability must be in [0,1]")
         if not 1 <= self.counter_min <= self.counter_max:
             errors.append("reselection counter range must satisfy 1 <= min <= max")
-        if self.sensing_window_ttis < self.selection_window_ttis:
+        if self.selection_window_ttis < 1:
+            errors.append("selection_window_ttis must be >= 1")
+        elif self.sensing_window_ttis < self.selection_window_ttis:
             errors.append("sensing_window_ttis must cover the selection window")
+        elif self.sensing_window_ttis % self.selection_window_ttis:
+            errors.append("sensing_window_ttis must be a multiple of selection_window_ttis")
         if not 0.0 < self.best_fraction <= 1.0:
             errors.append("best_fraction must be in (0,1]")
         return errors

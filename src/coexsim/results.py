@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,8 +19,9 @@ class PrrHistogram:
     """Per-technology success/opportunity counts over fixed-width distance bins.
 
     Bins are lower-inclusive: distance d lands in bin floor(d / width);
-    distances at or beyond max_distance_m are ignored. Merging histograms adds
-    counts, so cross-run pooling is associative and commutative.
+    distances at or beyond max_distance_m are ignored and negative ones are an
+    error. Merging histograms adds counts, so cross-run pooling is associative
+    and commutative.
     """
 
     def __init__(self, bin_width_m: float = 10.0, max_distance_m: float = 500.0):
@@ -33,36 +33,22 @@ class PrrHistogram:
         self.opportunities = np.zeros((len(TECH_NAMES), self.n_bins), dtype=np.int64)
         self.successes = np.zeros((len(TECH_NAMES), self.n_bins), dtype=np.int64)
 
-    def record(self, tech: Tech, distance_m: float, success: bool) -> None:
-        if distance_m < 0:
-            raise ValueError("distance must be >= 0")
-        b = int(distance_m // self.bin_width_m)
-        if b >= self.n_bins:
-            return
-        t = TECH_INDEX[tech]
-        self.opportunities[t, b] += 1
-        if success:
-            self.successes[t, b] += 1
-
     def record_many(self, tech_index: int, distances_m: np.ndarray,
                     successes: np.ndarray) -> None:
+        if (distances_m < 0).any():
+            raise ValueError("distance must be >= 0")
         bins = (distances_m // self.bin_width_m).astype(np.int64)
-        ok = (bins >= 0) & (bins < self.n_bins)
+        ok = bins < self.n_bins
         bins = bins[ok]
         np.add.at(self.opportunities[tech_index], bins, 1)
         np.add.at(self.successes[tech_index], bins, successes[ok].astype(np.int64))
 
-    def merge(self, other: "PrrHistogram") -> "PrrHistogram":
+    def merge(self, other: "PrrHistogram") -> None:
         if (other.bin_width_m != self.bin_width_m
                 or other.max_distance_m != self.max_distance_m):
             raise ValueError("histogram binning mismatch")
         self.opportunities += other.opportunities
         self.successes += other.successes
-        return self
-
-    def __add__(self, other: "PrrHistogram") -> "PrrHistogram":
-        out = PrrHistogram(self.bin_width_m, self.max_distance_m)
-        return out.merge(self).merge(other)
 
     def prr(self) -> np.ndarray:
         """Per-bin ratio; NaN where a bin saw no opportunities."""
@@ -71,17 +57,13 @@ class PrrHistogram:
                             self.successes / np.maximum(self.opportunities, 1),
                             np.nan)
 
-    def bin_edges_m(self) -> np.ndarray:
-        return np.arange(self.n_bins + 1) * self.bin_width_m
-
 
 @dataclass
 class Aggregate:
     """Cross-run summary: pooled counts as the primary estimate, plus the
-    per-run mean and sample standard deviation for error bars."""
+    sample standard deviation of the per-run PRRs for error bars."""
 
     pooled: PrrHistogram
-    mean_prr: np.ndarray
     std_prr: np.ndarray
     n_runs: int
 
@@ -104,7 +86,7 @@ def aggregate(runs: list[PrrHistogram]) -> Aggregate:
     sq = np.where(defined, (vals - np.where(cnt > 0, mean, 0.0)) ** 2, 0.0).sum(axis=0)
     std = np.where(cnt > 1, np.sqrt(sq / np.maximum(cnt - 1, 1)), 0.0)
     std = np.where(cnt == 0, np.nan, std)
-    return Aggregate(pooled, mean, std, len(runs))
+    return Aggregate(pooled, std, len(runs))
 
 
 def _fmt(x: float) -> str:
@@ -136,26 +118,6 @@ def write_csv(agg: Aggregate, path) -> None:
                              f"{opp},{agg.n_runs}\n")
     except OSError as exc:
         raise OSError(f"failed writing results to {path}: {exc}") from exc
-
-
-def read_csv(path) -> list[dict]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or ",".join(header) != CSV_HEADER:
-            raise ValueError(f"{path}: expected header '{CSV_HEADER}'")
-        rows = []
-        for row in reader:
-            rows.append({
-                "tech": row[0],
-                "bin_lo_m": float(row[1]),
-                "bin_hi_m": float(row[2]),
-                "prr": float(row[3]) if row[3] else None,
-                "prr_std": float(row[4]) if row[4] else None,
-                "opportunities": int(row[5]),
-                "runs": int(row[6]),
-            })
-    return rows
 
 
 PLOT_SCRIPT_NAME = "plot_prr.py"

@@ -44,7 +44,6 @@ class RoadConfig:
 
 @dataclass
 class Vehicle:
-    id: int
     lane_index: int
     pos_m: float
     direction: Direction
@@ -85,7 +84,7 @@ def spawn(cfg: RoadConfig, itsg5_fraction: float, rng: np.random.Generator) -> l
         lane = int(lanes[i])
         direction = Direction.FORWARD if lane < cfg.lanes_per_direction else Direction.BACKWARD
         tech = Tech.ITSG5 if i in g5_ids else Tech.LTEV2X
-        vehicles.append(Vehicle(i, lane, float(positions[i]), direction, tech))
+        vehicles.append(Vehicle(lane, float(positions[i]), direction, tech))
     return vehicles
 
 
@@ -98,27 +97,9 @@ def advance_positions(
     return np.where(out >= length_m, 0.0, out)
 
 
-def advance(vehicles: list[Vehicle], cfg: RoadConfig, dt_s: float) -> None:
-    """Advance all vehicles in place by dt_s seconds."""
-    if dt_s < 0:
-        raise ValueError("dt_s must be >= 0")
-    for v in vehicles:
-        wrapped = np.mod(v.pos_m + v.direction.value * cfg.speed_mps * dt_s, cfg.length_m)
-        v.pos_m = float(wrapped) if wrapped < cfg.length_m else 0.0
-
-
-def lateral_offset_m(lane_index: int, lane_width_m: float) -> float:
-    return lane_index * lane_width_m
-
-
-def distance_m(a: Vehicle, b: Vehicle, lane_width_m: float = 4.0) -> float:
-    """Euclidean distance on the unwrapped line (mobility wraps, geometry does not)."""
-    dx = a.pos_m - b.pos_m
-    dy = (a.lane_index - b.lane_index) * lane_width_m
-    return math.hypot(dx, dy)
-
-
 def distance_matrix(pos_m: np.ndarray, lane_index: np.ndarray, lane_width_m: float) -> np.ndarray:
+    """Pairwise Euclidean distances on the unwrapped line (mobility wraps,
+    geometry does not); lanes are lane_width_m apart."""
     dx = pos_m[:, None] - pos_m[None, :]
     dy = (lane_index[:, None] - lane_index[None, :]) * lane_width_m
     return np.hypot(dx, dy)

@@ -37,7 +37,6 @@ class TrafficConfig:
 
 @dataclass(frozen=True)
 class Cam:
-    source: int
     seq: int
     t_gen_us: int
     payload_bytes: int
@@ -69,9 +68,7 @@ class CamSource:
     fires it and calls `generate`, which returns the CAM and re-arms the timer.
     """
 
-    def __init__(self, vehicle_id: int, tech: Tech, cfg: TrafficConfig,
-                 rng: np.random.Generator):
-        self.vehicle_id = vehicle_id
+    def __init__(self, tech: Tech, cfg: TrafficConfig, rng: np.random.Generator):
         self.tech = tech
         self.cfg = cfg
         self._rng = rng
@@ -83,7 +80,7 @@ class CamSource:
         self.seq = 0
 
     def generate(self, now_us: int) -> Cam:
-        cam = Cam(self.vehicle_id, self.seq, now_us, self.cfg.payload_bytes)
+        cam = Cam(self.seq, now_us, self.cfg.payload_bytes)
         self.seq += 1
         if self._redraw:
             self.period_us = station_period_us(self.tech, self.cfg, self._rng)

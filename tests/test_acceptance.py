@@ -161,8 +161,8 @@ def test_no_transmission_without_full_idle_window():
 
 def test_saturating_lte_neighbor_blocks_csma():
     vehicles = [
-        Vehicle(0, 0, 0.0, Direction.FORWARD, Tech.ITSG5),
-        Vehicle(1, 0, 10.0, Direction.FORWARD, Tech.LTEV2X),
+        Vehicle(0, 0.0, Direction.FORWARD, Tech.ITSG5),
+        Vehicle(0, 10.0, Direction.FORWARD, Tech.LTEV2X),
     ]
     cfg = EngineConfig(warm_up_s=0.0, measure_s=10.0, lte_continuous_tx=True)
     log = eng.run(cfg, seed=1, vehicles=vehicles)

@@ -14,25 +14,31 @@ from coexsim.channel import (
     ShadowingConfig,
     ShadowingField,
     ar1_shadowing_step,
-    average_sinr_db,
     breakpoint_distance_m,
-    dbm_to_mw,
-    decide_reception,
     default_itsg5_curve,
     default_ltev2x_curve,
-    link_rx_power_dbm,
-    mw_to_dbm,
     noise_floor_dbm,
     path_loss_db,
+    reception_success,
+    rx_power_mw,
+    sinr_db,
 )
 
 CFG = LinkBudgetConfig()
+EIRP_RX_GAIN_DB = CFG.tx_power_dbm + CFG.tx_gain_db + CFG.rx_gain_db  # 29 dB
+AIRTIME_US = 512
+
+
+def mw(dbm):
+    return 10.0 ** (dbm / 10.0)
 
 
 def test_dbm_mw_roundtrip():
-    assert dbm_to_mw(0.0) == pytest.approx(1.0)
-    assert dbm_to_mw(-30.0) == pytest.approx(1e-3)
-    assert mw_to_dbm(dbm_to_mw(-71.3)) == pytest.approx(-71.3)
+    # The link budget turns dB into mW; the SINR turns a mW ratio back into dB.
+    assert rx_power_mw(EIRP_RX_GAIN_DB, 0.0, CFG) == pytest.approx(1.0)
+    assert rx_power_mw(EIRP_RX_GAIN_DB + 30.0, 0.0, CFG) == pytest.approx(1e-3)
+    rx = rx_power_mw(EIRP_RX_GAIN_DB + 71.3, 0.0, CFG)
+    assert sinr_db(rx, 0.0, AIRTIME_US, 1.0) == pytest.approx(-71.3)
 
 
 def test_breakpoint_distance():
@@ -78,12 +84,26 @@ def test_noise_floor():
         -94.9897, abs=1e-3)
 
 
+def rx_dbm(d_m, shadow_db=0.0):
+    return 10.0 * np.log10(rx_power_mw(path_loss_db(d_m, CFG), shadow_db, CFG))
+
+
 def test_link_rx_power():
     # 29 dBm EIRP minus the path loss.
-    assert link_rx_power_dbm(100.0, CFG) == pytest.approx(-71.06, abs=0.01)
-    assert link_rx_power_dbm(10.0, CFG) == pytest.approx(-36.14, abs=0.01)
-    assert link_rx_power_dbm(100.0, CFG, shadow_db=3.0) == pytest.approx(
-        -74.06, abs=0.01)
+    assert rx_dbm(100.0) == pytest.approx(-71.06, abs=0.01)
+    assert rx_dbm(10.0) == pytest.approx(-36.14, abs=0.01)
+    assert rx_dbm(100.0, shadow_db=3.0) == pytest.approx(-74.06, abs=0.01)
+
+
+def test_rx_power_is_elementwise_over_pair_matrices():
+    d = np.array([[3.0, 10.0], [100.0, 400.0]])
+    shadow = np.array([[0.0, 1.5], [-2.0, 3.0]])
+    out = rx_power_mw(path_loss_db(d, CFG), shadow, CFG)
+    assert out.shape == d.shape
+    for i in range(2):
+        for j in range(2):
+            assert 10.0 * np.log10(out[i, j]) == pytest.approx(
+                rx_dbm(float(d[i, j]), float(shadow[i, j])))
 
 
 def test_ar1_shadowing_zero_displacement_is_identity():
@@ -118,16 +138,16 @@ def test_ar1_shadowing_preserves_marginal_std(rng):
 
 
 def test_shadowing_field_symmetric(rng):
-    field = ShadowingField(40, rng=rng)
+    field = ShadowingField(40, 3.0, 25.0, rng)
     assert np.allclose(field.values_db, field.values_db.T)
-    assert field.pair(3, 17) == field.pair(17, 3)
+    assert field.values_db[3, 17] == field.values_db[17, 3]
     field.step(7.78, rng)
     assert np.allclose(field.values_db, field.values_db.T)
 
 
 def test_shadowing_field_marginal_std(rng):
     # 450 nodes -> 101k distinct pairs.
-    field = ShadowingField(450, rng=rng)
+    field = ShadowingField(450, 3.0, 25.0, rng)
     iu = np.triu_indices(450, 1)
     assert np.std(field.values_db[iu]) == pytest.approx(3.0, abs=0.1)
     field.step(7.78, rng)
@@ -140,27 +160,34 @@ def test_shadowing_config_validation():
     assert ShadowingConfig(decorr_m=0.0).validate()
 
 
+def sinr_with(interf_dbm, overlap_fraction):
+    """SINR of a -71 dBm frame over a -98 dBm floor with one interferer that
+    overlaps the given fraction of the frame's airtime."""
+    energy = mw(interf_dbm) * overlap_fraction * AIRTIME_US
+    return sinr_db(mw(-71.0), energy, AIRTIME_US, mw(-98.0))
+
+
 def test_sinr_no_interference():
-    assert average_sinr_db(-71.0, [], -98.0) == pytest.approx(27.0)
+    assert sinr_db(mw(-71.0), 0.0, AIRTIME_US, mw(-98.0)) == pytest.approx(27.0)
 
 
 def test_sinr_equal_power_full_overlap_interferer():
     # Equal interferer dominates: SINR just below 0 dB (noise adds a hair).
-    out = average_sinr_db(-71.0, [(-71.0, 1.0)], -98.0)
+    out = sinr_with(-71.0, 1.0)
     assert out == pytest.approx(-0.008656, abs=1e-4)
     assert out < 0.0
 
 
 def test_sinr_zero_overlap_equals_no_interferer():
-    assert average_sinr_db(-71.0, [(-40.0, 0.0)], -98.0) == pytest.approx(
-        average_sinr_db(-71.0, [], -98.0))
+    assert sinr_with(-40.0, 0.0) == pytest.approx(
+        sinr_db(mw(-71.0), 0.0, AIRTIME_US, mw(-98.0)))
 
 
-def test_sinr_rejects_bad_overlap():
-    with pytest.raises(ValueError):
-        average_sinr_db(-71.0, [(-71.0, 1.5)], -98.0)
-    with pytest.raises(ValueError):
-        average_sinr_db(-71.0, [(-71.0, -0.1)], -98.0)
+def test_sinr_is_elementwise_over_receivers():
+    rx = mw(np.array([-71.0, -80.0, -71.0]))
+    energy = np.array([0.0, 0.0, mw(-71.0) * AIRTIME_US])
+    out = sinr_db(rx, energy, AIRTIME_US, mw(-98.0))
+    assert out == pytest.approx([27.0, 18.0, -0.008656], abs=1e-4)
 
 
 @given(
@@ -170,9 +197,7 @@ def test_sinr_rejects_bad_overlap():
 )
 def test_sinr_decreases_with_overlap(p_int, f1, f2):
     lo, hi = sorted([f1, f2])
-    s_hi = average_sinr_db(-71.0, [(p_int, lo)], -98.0)
-    s_lo = average_sinr_db(-71.0, [(p_int, hi)], -98.0)
-    assert s_lo <= s_hi + 1e-9
+    assert sinr_with(p_int, hi) <= sinr_with(p_int, lo) + 1e-9
 
 
 def test_default_per_anchors():
@@ -251,12 +276,14 @@ def test_per_curve_csv_bad_row_cites_line(tmp_path):
 
 
 def test_decide_reception_extremes(rng):
-    assert all(decide_reception(0.0, rng) for _ in range(50))
-    assert not any(decide_reception(1.0, rng) for _ in range(50))
+    draws = np.concatenate([[0.0], rng.random(49)])
+    assert reception_success(np.zeros(50), draws).all()
+    assert not reception_success(np.ones(50), draws).any()
+    # A PER outside [0, 1] never reaches the draw: curves refuse such points.
     with pytest.raises(ValueError):
-        decide_reception(1.2, rng)
+        PerCurve(np.array([0.0, 1.0]), np.array([1.2, 0.1]))
 
 
 def test_decide_reception_rate(rng):
-    hits = sum(decide_reception(0.3, rng) for _ in range(10_000))
-    assert hits / 10_000 == pytest.approx(0.7, abs=0.02)
+    hits = reception_success(np.full(10_000, 0.3), rng.random(10_000))
+    assert hits.mean() == pytest.approx(0.7, abs=0.02)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from coexsim import engine as eng
-from coexsim.channel import LinkBudgetConfig, ShadowingConfig, link_rx_power_dbm
-from coexsim.engine import EngineConfig, Simulation
-from coexsim.mac_ltev2x import OCCUPIED_US, TTI_US
+from coexsim.channel import ShadowingConfig, path_loss_db, rx_power_mw
+from coexsim.engine import Simulation
+from coexsim.mac_ltev2x import OCCUPIED_US, TTI_US, SpsConfig
 from coexsim.scenario import Direction, RoadConfig, Tech, Vehicle
 from coexsim.traffic import TrafficConfig
 
@@ -17,8 +17,8 @@ NO_SHADOW = ShadowingConfig(sigma_db=0.0)
 
 def two_vehicles(d_m=100.0, techs=(Tech.ITSG5, Tech.ITSG5)):
     return [
-        Vehicle(0, 0, 0.0, Direction.FORWARD, techs[0]),
-        Vehicle(1, 0, d_m, Direction.FORWARD, techs[1]),
+        Vehicle(0, 0.0, Direction.FORWARD, techs[0]),
+        Vehicle(0, d_m, Direction.FORWARD, techs[1]),
     ]
 
 
@@ -32,6 +32,25 @@ def test_invalid_config_rejected():
         Simulation(small_engine_config(measure_s=0.0), seed=1)
     with pytest.raises(ValueError, match="itsg5_fraction"):
         Simulation(small_engine_config(itsg5_fraction=1.5), seed=1)
+
+
+def test_beacon_period_must_match_sps_window():
+    # A 50 ms beacon against the 100-TTI SPS window would leave every other
+    # LTE CAM waiting on a stale reservation.
+    cfg = small_engine_config(itsg5_fraction=0.0,
+                              traffic=TrafficConfig(base_period_ms=50.0))
+    assert cfg.validate() == ["selection_window_ttis must span exactly base_period_ms"]
+    with pytest.raises(ValueError, match="selection_window_ttis"):
+        Simulation(cfg, seed=1)
+    cfg.sps = SpsConfig(selection_window_ttis=50)
+    assert cfg.validate() == []
+
+
+def test_sensing_window_must_hold_whole_selection_windows():
+    cfg = small_engine_config(sps=SpsConfig(sensing_window_ttis=1050))
+    assert cfg.validate() == [
+        "sensing_window_ttis must be a multiple of selection_window_ttis"]
+    assert small_engine_config(sps=SpsConfig(sensing_window_ttis=500)).validate() == []
 
 
 def test_same_seed_same_digest():
@@ -136,18 +155,18 @@ def test_continuous_lte_pair_always_half_duplex():
 
 def test_concurrent_power_sums_and_two_tier_sensing():
     vehicles = [
-        Vehicle(0, 0, 0.0, Direction.FORWARD, Tech.ITSG5),
-        Vehicle(1, 0, 200.0, Direction.FORWARD, Tech.ITSG5),
-        Vehicle(2, 0, 100.0, Direction.FORWARD, Tech.ITSG5),
+        Vehicle(0, 0.0, Direction.FORWARD, Tech.ITSG5),
+        Vehicle(0, 200.0, Direction.FORWARD, Tech.ITSG5),
+        Vehicle(0, 100.0, Direction.FORWARD, Tech.ITSG5),
     ]
     cfg = small_engine_config(itsg5_fraction=1.0, shadowing=NO_SHADOW)
     sim = Simulation(cfg, seed=1, vehicles=vehicles)
     assert not sim.busy.any()
     from coexsim.traffic import Cam
-    sim._begin_tx(0, Cam(0, 0, 0, 350), 0, lte=False)
-    sim._begin_tx(1, Cam(1, 0, 0, 350), 0, lte=False)
+    sim._begin_tx(0, Cam(0, 0, 350), 0, lte=False)
+    sim._begin_tx(1, Cam(0, 0, 350), 0, lte=False)
     # Middle node hears both 100 m neighbours at about -71 dBm each.
-    per_link = 10 ** (link_rx_power_dbm(100.0, cfg.link) / 10.0)
+    per_link = rx_power_mw(path_loss_db(100.0, cfg.link), 0.0, cfg.link)
     assert sim.power_mw[2] == pytest.approx(2 * per_link, rel=1e-9)
     total_dbm = 10 * np.log10(sim.power_mw[2])
     assert total_dbm == pytest.approx(-68.05, abs=0.01)
@@ -160,14 +179,14 @@ def test_concurrent_power_sums_and_two_tier_sensing():
 
 def test_energy_only_sensing_ignores_sub_threshold_preambles():
     vehicles = [
-        Vehicle(0, 0, 0.0, Direction.FORWARD, Tech.ITSG5),
-        Vehicle(1, 0, 100.0, Direction.FORWARD, Tech.ITSG5),
+        Vehicle(0, 0.0, Direction.FORWARD, Tech.ITSG5),
+        Vehicle(0, 100.0, Direction.FORWARD, Tech.ITSG5),
     ]
     cfg = small_engine_config(itsg5_fraction=1.0, shadowing=NO_SHADOW)
     cfg.csma.preamble_threshold_dbm = None
     sim = Simulation(cfg, seed=1, vehicles=vehicles)
     from coexsim.traffic import Cam
-    sim._begin_tx(0, Cam(0, 0, 0, 350), 0, lte=False)
+    sim._begin_tx(0, Cam(0, 0, 350), 0, lte=False)
     assert not sim.busy[1]  # -71 dBm is below the energy gate
 
 
@@ -180,7 +199,7 @@ def test_sensed_rssi_averages_burst_over_occupied_symbols():
                               record_cca_trace=True)
     sim = Simulation(cfg, seed=9, vehicles=vehicles)
     log = sim.run()
-    rx_mw = 10 ** (link_rx_power_dbm(100.0, cfg.link) / 10.0)
+    rx_mw = rx_power_mw(path_loss_db(100.0, cfg.link), 0.0, cfg.link)
     expected = rx_mw * 512.0 / OCCUPIED_US + sim.noise_mw
     checked = 0
     for t, node in log.tx_starts:
@@ -209,3 +228,27 @@ def test_noise_only_ttis_sense_the_noise_floor():
     # Most TTIs carry no transmission at all: the minimum is the pure floor.
     assert vals.min() == pytest.approx(sim.noise_mw, rel=1e-9)
     assert 10 * np.log10(vals.min()) == pytest.approx(-98.0, abs=1e-6)
+
+
+def test_interference_energy_counts_only_the_overlap():
+    vehicles = [
+        Vehicle(0, 0.0, Direction.FORWARD, Tech.ITSG5),
+        Vehicle(0, 200.0, Direction.FORWARD, Tech.ITSG5),
+        Vehicle(0, 100.0, Direction.FORWARD, Tech.ITSG5),
+    ]
+    cfg = small_engine_config(itsg5_fraction=1.0, shadowing=NO_SHADOW)
+    sim = Simulation(cfg, seed=1, vehicles=vehicles)
+    from coexsim.traffic import Cam
+    sim._begin_tx(0, Cam(0, 0, 350), 0, lte=False)
+    sim._begin_tx(1, Cam(0, 0, 350), 256, lte=False)
+    first, second = sim.active[0], sim.active[1]
+    sim._end_tx(first, 512)
+    # Each 512 us frame overlapped the other for 256 us: fraction one half.
+    assert first.interf_mw_us[2] == pytest.approx(second.rx_mw[2] * 256, rel=1e-12)
+    assert second.interf_mw_us[2] == pytest.approx(first.rx_mw[2] * 256, rel=1e-12)
+    # A frame starting at the instant another ends overlaps it for zero time.
+    sim._begin_tx(0, Cam(1, 0, 350), 768, lte=False)
+    third = sim.active[0]
+    sim._end_tx(second, 768)
+    assert not third.interf_mw_us.any()
+    assert second.interf_mw_us[2] == pytest.approx(first.rx_mw[2] * 256, rel=1e-12)

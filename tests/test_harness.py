@@ -16,8 +16,9 @@ from coexsim.harness import (
     run_experiment,
     run_seed,
 )
-from coexsim.results import read_csv
 from coexsim.traffic import TrafficMode
+
+from oracles import read_csv
 
 FAST_CONFIG = """
 # scaled-down scenario for quick end-to-end checks
@@ -99,6 +100,31 @@ def test_validation_rejects_out_of_range_values():
     errors = cfg.validate()
     assert any("2.0" in e for e in errors)
     assert any("runs" in e for e in errors)
+
+
+def test_validation_rejects_colliding_mixes():
+    # 0.499 and 0.501 both round to prr_<mode>_50.csv; 0.50001 and 0.50004
+    # also share the seed key 5000; 0.00499 and 0.00501 share only the key.
+    for mixes, clashes in (([0.499, 0.501], 1), ([0.5, 0.5], 2),
+                           ([0.50001, 0.50004], 2), ([0.00499, 0.00501], 1)):
+        errors = ExperimentConfig(mix_fractions=mixes).validate()
+        assert len(errors) == clashes
+        assert all(f"{mixes[0]} and {mixes[1]}" in e for e in errors)
+    errors = ExperimentConfig(mix_fractions=[0.499, 1.0, 0.501, 0.5]).validate()
+    assert any("0.499 and 0.501 both write prr_standard_50.csv" in e for e in errors)
+    assert any("0.499 and 0.5 both write" in e for e in errors)
+    assert any("0.501 and 0.5 both write" in e for e in errors)
+    assert len(errors) == 3
+    assert ExperimentConfig(mix_fractions=[1.0, 0.75, 0.5, 0.25, 0.0]).validate() == []
+
+
+def test_main_rejects_inconsistent_configs(tmp_path, capsys):
+    assert main(["--mix", "0.499,0.501", "--out", str(tmp_path / "out")]) == 1
+    assert "both write prr_standard_50.csv, prr_constrained_50.csv" in capsys.readouterr().err
+    cfg_path = write_config(tmp_path, FAST_CONFIG + "base_period_ms = 50\n")
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert "selection_window_ttis must span exactly base_period_ms" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_overrides():

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coexsim.channel import mw_to_dbm
 from coexsim.mac_itsg5 import CsmaConfig, CsmaMac, Phase, airtime_us, cca_busy
 from coexsim.traffic import Cam
 
@@ -42,7 +41,7 @@ class ScriptedRng:
 
 
 def cam(seq=0):
-    return Cam(0, seq, 0, 350)
+    return Cam(seq, 0, 350)
 
 
 def test_airtime_values():
@@ -56,13 +55,34 @@ def test_airtime_monotone_in_payload(a, b):
     assert airtime_us(lo, CFG) <= airtime_us(hi, CFG)
 
 
+NOISE_MW = 10 ** (-98.0 / 10.0)
+CCA_MW = 10 ** (CFG.cca_threshold_dbm / 10.0)
+
+
+def busy(power_dbm, preambles=0):
+    """Two-tier CCA at one node hearing the given total power (dBm)."""
+    out = cca_busy(np.array([10 ** (power_dbm / 10.0)]), NOISE_MW, CCA_MW,
+                   np.array([preambles]))
+    return bool(out[0])
+
+
 def test_cca_energy_threshold():
-    assert cca_busy(-60.0, CFG)
-    assert not cca_busy(-90.0, CFG)
+    assert busy(-60.0)
+    assert not busy(-90.0)
     # Two simultaneous -68 dBm arrivals sum to about -65.0 dBm: busy.
-    total = mw_to_dbm(2 * 10 ** (-6.8))
+    total = 10 * np.log10(2 * 10 ** (-6.8))
     assert total == pytest.approx(-64.99, abs=0.01)
-    assert cca_busy(float(total), CFG)
+    assert busy(float(total))
+    # -65.001 dBm of signal alone is below the gate; the -98 dBm floor lifts it over.
+    assert busy(-65.001)
+    assert not busy(-65.01)
+
+
+def test_cca_preamble_tier_marks_busy_below_energy_gate():
+    assert not busy(-90.0, preambles=0)
+    assert busy(-90.0, preambles=1)
+    out = cca_busy(np.array([0.0, 0.0, 1.0]), NOISE_MW, CCA_MW, np.array([0, 2, 0]))
+    assert out.tolist() == [False, True, True]
 
 
 def test_config_validation():

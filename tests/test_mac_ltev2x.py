@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
+from coexsim.engine import Simulation
 from coexsim.mac_ltev2x import (
-    GUARD_US,
     OCCUPIED_US,
     TTI_US,
     SensingHistory,
     SpsConfig,
     SpsScheduler,
-    TtiGrid,
 )
+
+from conftest import small_engine_config
 
 NOISE_MW = 10 ** (-98.0 / 10.0)
 
@@ -47,11 +48,24 @@ class StubRng:
 
 
 def test_tti_grid_constants():
-    grid = TtiGrid()
-    assert OCCUPIED_US + GUARD_US == TTI_US == 1000
-    assert grid.index(1500) == 1
-    assert grid.index(999) == 0
-    assert grid.start_us(3) == 3000
+    # 1 ms TTIs whose last 71 us symbol is an unused guard.
+    assert TTI_US == 1000 and TTI_US - OCCUPIED_US == 71
+    # The engine starts every sidelink frame on a TTI boundary and keeps it
+    # on air for the occupied symbols only.
+    cfg = small_engine_config(itsg5_fraction=0.0, warm_up_s=0.0, measure_s=0.5)
+    sim = Simulation(cfg, seed=1)
+    ended = []
+    end_tx = sim._end_tx
+
+    def spy(rec, t_us):
+        ended.append(rec)
+        end_tx(rec, t_us)
+
+    sim._end_tx = spy
+    sim.run()
+    assert ended
+    assert all(rec.lte and rec.start_us % TTI_US == 0
+               and rec.end_us - rec.start_us == OCCUPIED_US for rec in ended)
 
 
 def test_sps_config_validation():
@@ -60,6 +74,7 @@ def test_sps_config_validation():
     assert SpsConfig(counter_min=0).validate()
     assert SpsConfig(counter_min=10, counter_max=5).validate()
     assert SpsConfig(sensing_window_ttis=50).validate()
+    assert SpsConfig(selection_window_ttis=0).validate()
     assert SpsConfig(best_fraction=0.0).validate()
 
 

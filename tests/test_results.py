@@ -9,44 +9,53 @@ from coexsim.results import (
     CSV_HEADER,
     PLOT_SCRIPT_NAME,
     Aggregate,
+    TECH_INDEX,
     PrrHistogram,
     aggregate,
     csv_filename,
-    read_csv,
     summary_table,
     write_csv,
     write_plot_script,
 )
 from coexsim.scenario import Tech
 
+from oracles import read_csv
+
+
+def record(h, tech, distances, successes):
+    """Record through the engine's path: one technology, arrays of receivers."""
+    h.record_many(TECH_INDEX[tech], np.array(distances, dtype=float),
+                  np.array(successes, dtype=bool))
+
 
 def hist_with(tech, pairs):
     h = PrrHistogram()
-    for d, ok in pairs:
-        h.record(tech, d, ok)
+    if pairs:
+        record(h, tech, *zip(*pairs))
     return h
 
 
 def test_record_bins_are_lower_inclusive():
     h = PrrHistogram()
-    h.record(Tech.ITSG5, 95.0, True)
+    record(h, Tech.ITSG5, [95.0], [True])
     assert h.opportunities[0, 9] == 1
-    h.record(Tech.ITSG5, 100.0, True)
+    record(h, Tech.ITSG5, [100.0], [True])
     assert h.opportunities[0, 10] == 1
-    h.record(Tech.ITSG5, 0.0, False)
+    record(h, Tech.ITSG5, [0.0], [False])
     assert h.opportunities[0, 0] == 1
 
 
 def test_record_ignores_beyond_max_distance():
     h = PrrHistogram()
-    h.record(Tech.LTEV2X, 500.0, True)
-    h.record(Tech.LTEV2X, 1234.0, True)
+    record(h, Tech.LTEV2X, [500.0, 1234.0], [True, True])
     assert h.opportunities.sum() == 0
 
 
 def test_record_rejects_negative_distance():
+    h = PrrHistogram()
     with pytest.raises(ValueError):
-        PrrHistogram().record(Tech.ITSG5, -1.0, True)
+        record(h, Tech.ITSG5, [10.0, -1.0], [True, True])
+    assert h.opportunities.sum() == 0
 
 
 def test_prr_example_bin():
@@ -73,11 +82,16 @@ def test_record_many_matches_scalar_record(rng):
     s = rng.random(500) < 0.5
     a = PrrHistogram()
     a.record_many(1, d, s)
-    b = PrrHistogram()
+    opp = np.zeros(50, dtype=np.int64)
+    succ = np.zeros(50, dtype=np.int64)
     for di, si in zip(d, s):
-        b.record(Tech.LTEV2X, float(di), bool(si))
-    assert np.array_equal(a.opportunities, b.opportunities)
-    assert np.array_equal(a.successes, b.successes)
+        b = int(di // 10.0)
+        if b < 50:
+            opp[b] += 1
+            succ[b] += si
+    assert np.array_equal(a.opportunities[1], opp)
+    assert np.array_equal(a.successes[1], succ)
+    assert a.opportunities[0].sum() == 0
 
 
 def test_merge_rejects_binning_mismatch():
@@ -85,11 +99,13 @@ def test_merge_rejects_binning_mismatch():
         PrrHistogram(10.0, 500.0).merge(PrrHistogram(20.0, 500.0))
 
 
-def test_bin_edges():
-    h = PrrHistogram()
-    edges = h.bin_edges_m()
-    assert edges[0] == 0.0 and edges[-1] == 500.0
-    assert len(edges) == h.n_bins + 1 == 51
+def test_bin_edges(tmp_path):
+    h = hist_with(Tech.ITSG5, [(10.0, True)])
+    assert h.n_bins == 50
+    write_csv(aggregate([h]), tmp_path / "out.csv")
+    rows = read_csv(tmp_path / "out.csv")
+    assert [r["bin_lo_m"] for r in rows] == [10.0 * b for b in range(50)]
+    assert [r["bin_hi_m"] for r in rows] == [10.0 * b for b in range(1, 51)]
 
 
 @given(
@@ -101,13 +117,20 @@ def test_bin_edges():
 def test_merge_is_order_independent(counts):
     hs = [PrrHistogram() for _ in range(3)]
     for d, ok, which in counts:
-        hs[which].record(Tech.ITSG5, d, ok)
-    ab = hs[0] + hs[1]
-    ba = hs[1] + hs[0]
+        record(hs[which], Tech.ITSG5, [d], [ok])
+
+    def merged(*parts):
+        out = PrrHistogram()
+        for h in parts:
+            out.merge(h)
+        return out
+
+    ab = merged(hs[0], hs[1])
+    ba = merged(hs[1], hs[0])
     assert np.array_equal(ab.opportunities, ba.opportunities)
     assert np.array_equal(ab.successes, ba.successes)
-    left = (hs[0] + hs[1]) + hs[2]
-    right = hs[0] + (hs[1] + hs[2])
+    left = merged(merged(hs[0], hs[1]), hs[2])
+    right = merged(hs[0], merged(hs[1], hs[2]))
     assert np.array_equal(left.opportunities, right.opportunities)
     assert np.array_equal(left.successes, right.successes)
 
@@ -118,7 +141,11 @@ def test_aggregate_pools_and_spreads():
     agg = aggregate([r1, r2])
     assert agg.n_runs == 2
     assert agg.prr[0, 9] == pytest.approx(0.9)          # pooled 18/20
-    assert agg.mean_prr[0, 9] == pytest.approx(0.9)
+    assert agg.std_prr[0, 9] == pytest.approx(np.std([0.8, 1.0], ddof=1))
+    # The spread is taken about the per-run mean (0.9), not the pooled 10/12.
+    r3 = hist_with(Tech.ITSG5, [(95.0, True) for _ in range(2)])     # 1.0
+    agg = aggregate([r1, r3])
+    assert agg.prr[0, 9] == pytest.approx(10 / 12)
     assert agg.std_prr[0, 9] == pytest.approx(np.std([0.8, 1.0], ddof=1))
 
 

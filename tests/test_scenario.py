@@ -7,21 +7,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from coexsim.engine import EngineConfig
 from coexsim.scenario import (
     Direction,
     RoadConfig,
     Tech,
     Vehicle,
-    advance,
     advance_positions,
-    distance_m,
     distance_matrix,
     itsg5_count,
-    lateral_offset_m,
     round_half_away,
     spawn,
     vehicle_count,
 )
+
+from oracles import advance, distance_m
 
 
 def test_round_half_away_from_zero():
@@ -65,7 +65,6 @@ def test_spawn_population_and_fields(rng):
         expected = Direction.FORWARD if v.lane_index < road.lanes_per_direction \
             else Direction.BACKWARD
         assert v.direction is expected
-    assert [v.id for v in vehicles] == list(range(123))
 
 
 def test_spawn_spreads_positions(rng):
@@ -83,30 +82,30 @@ def test_spawn_zero_vehicles(rng):
     assert spawn(road, 0.5, rng) == []
 
 
-def test_advance_wraps_forward():
+def move(pos_m, sign, dt_s):
+    """One vehicle on the default road through the engine's mobility step."""
     road = RoadConfig()
-    vs = [Vehicle(0, 0, 1990.0, Direction.FORWARD, Tech.ITSG5)]
-    advance(vs, road, 1.0)
-    assert vs[0].pos_m == pytest.approx(28.889, abs=1e-9)
+    out = advance_positions(np.array([pos_m]), np.array([sign]), road.speed_mps,
+                            dt_s, road.length_m)
+    return float(out[0])
+
+
+def test_advance_wraps_forward():
+    assert move(1990.0, 1, 1.0) == pytest.approx(28.889, abs=1e-9)
 
 
 def test_advance_wraps_backward():
-    road = RoadConfig()
-    vs = [Vehicle(0, 3, 10.0, Direction.BACKWARD, Tech.ITSG5)]
-    advance(vs, road, 1.0)
-    assert vs[0].pos_m == pytest.approx(2000.0 - 28.889, abs=1e-9)
+    assert move(10.0, -1, 1.0) == pytest.approx(2000.0 - 28.889, abs=1e-9)
 
 
 def test_advance_rejects_negative_dt():
-    with pytest.raises(ValueError):
-        advance([], RoadConfig(), -0.1)
+    # The engine's mobility step is mobility_update_ms; it cannot be <= 0.
+    assert EngineConfig(mobility_update_ms=-100).validate()
+    assert EngineConfig(mobility_update_ms=0).validate()
 
 
 def test_advance_mobility_tick_distance():
-    road = RoadConfig()
-    vs = [Vehicle(0, 0, 100.0, Direction.FORWARD, Tech.ITSG5)]
-    advance(vs, road, 0.1)
-    assert vs[0].pos_m - 100.0 == pytest.approx(3.8889, abs=1e-4)
+    assert move(100.0, 1, 0.1) - 100.0 == pytest.approx(3.8889, abs=1e-4)
 
 
 @given(
@@ -123,8 +122,8 @@ def test_advance_positions_stay_on_road(pos, dt):
 def test_advance_positions_matches_scalar():
     road = RoadConfig()
     vs = [
-        Vehicle(0, 0, 1990.0, Direction.FORWARD, Tech.ITSG5),
-        Vehicle(1, 5, 10.0, Direction.BACKWARD, Tech.LTEV2X),
+        Vehicle(0, 1990.0, Direction.FORWARD, Tech.ITSG5),
+        Vehicle(5, 10.0, Direction.BACKWARD, Tech.LTEV2X),
     ]
     pos = np.array([v.pos_m for v in vs])
     signs = np.array([v.direction.value for v in vs])
@@ -134,35 +133,35 @@ def test_advance_positions_matches_scalar():
         assert got == pytest.approx(v.pos_m, abs=1e-9)
 
 
+def pair_distance(pos, lanes):
+    """Distance between two vehicles 4 m lanes apart, through the engine's
+    distance matrix."""
+    mat = distance_matrix(np.array(pos), np.array(lanes), 4.0)
+    return float(mat[0, 1])
+
+
 def test_lateral_offset():
-    assert lateral_offset_m(0, 4.0) == 0.0
-    assert lateral_offset_m(3, 4.0) == 12.0
+    assert pair_distance([100.0, 100.0], [0, 0]) == 0.0
+    assert pair_distance([100.0, 100.0], [0, 3]) == 12.0
 
 
 def test_distance_same_lane():
-    a = Vehicle(0, 0, 100.0, Direction.FORWARD, Tech.ITSG5)
-    b = Vehicle(1, 0, 250.0, Direction.FORWARD, Tech.ITSG5)
-    assert distance_m(a, b) == pytest.approx(150.0)
+    assert pair_distance([100.0, 250.0], [0, 0]) == pytest.approx(150.0)
 
 
 def test_distance_lateral_only():
-    a = Vehicle(0, 0, 100.0, Direction.FORWARD, Tech.ITSG5)
-    b = Vehicle(1, 3, 100.0, Direction.BACKWARD, Tech.ITSG5)
-    assert distance_m(a, b) == pytest.approx(12.0)
+    assert pair_distance([100.0, 100.0], [0, 3]) == pytest.approx(12.0)
 
 
 def test_distance_diagonal():
     # 30 m along, 4 lanes apart (16 m): a 3-4-5 triangle scaled.
-    a = Vehicle(0, 0, 0.0, Direction.FORWARD, Tech.ITSG5)
-    b = Vehicle(1, 4, 30.0, Direction.BACKWARD, Tech.ITSG5)
-    assert distance_m(a, b) == pytest.approx(math.hypot(30.0, 16.0))
-    assert distance_m(a, b) == pytest.approx(34.0)
+    d = pair_distance([0.0, 30.0], [0, 4])
+    assert d == pytest.approx(math.hypot(30.0, 16.0))
+    assert d == pytest.approx(34.0)
 
 
 def test_distance_does_not_wrap():
-    a = Vehicle(0, 0, 10.0, Direction.FORWARD, Tech.ITSG5)
-    b = Vehicle(1, 0, 1990.0, Direction.FORWARD, Tech.ITSG5)
-    assert distance_m(a, b) == pytest.approx(1980.0)
+    assert pair_distance([10.0, 1990.0], [0, 0]) == pytest.approx(1980.0)
 
 
 @given(
@@ -172,14 +171,10 @@ def test_distance_does_not_wrap():
     )
 )
 def test_distance_symmetry_and_triangle_inequality(data):
-    vs = [Vehicle(i, lane, pos, Direction.FORWARD, Tech.ITSG5)
-          for i, (pos, lane) in enumerate(data)]
-    d01 = distance_m(vs[0], vs[1])
-    d10 = distance_m(vs[1], vs[0])
-    d12 = distance_m(vs[1], vs[2])
-    d02 = distance_m(vs[0], vs[2])
-    assert d01 == pytest.approx(d10)
-    assert d02 <= d01 + d12 + 1e-9
+    pos, lanes = zip(*data)
+    d = distance_matrix(np.array(pos), np.array(lanes), 4.0)
+    assert d[0, 1] == pytest.approx(d[1, 0])
+    assert d[0, 2] <= d[0, 1] + d[1, 2] + 1e-9
 
 
 def test_distance_matrix_matches_pairwise(rng):

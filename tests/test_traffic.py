@@ -63,7 +63,7 @@ def test_station_period_itsg5_jitter_uniformity(rng):
 
 
 def test_cam_source_constant_period(rng):
-    src = CamSource(3, Tech.ITSG5, STD, rng)
+    src = CamSource(Tech.ITSG5, STD, rng)
     t = src.next_time_us
     gaps = []
     for _ in range(5):
@@ -72,11 +72,11 @@ def test_cam_source_constant_period(rng):
         t = src.next_time_us
     assert len(set(gaps)) == 1
     assert gaps[0] == src.period_us
-    assert cam.source == 3 and cam.payload_bytes == 350
+    assert cam.payload_bytes == 350
 
 
 def test_cam_source_sequence_and_timestamps(rng):
-    src = CamSource(0, Tech.LTEV2X, CON, rng)
+    src = CamSource(Tech.LTEV2X, CON, rng)
     t = src.next_time_us
     for i in range(4):
         cam = src.generate(t)
@@ -87,7 +87,7 @@ def test_cam_source_sequence_and_timestamps(rng):
 
 
 def test_cam_source_constrained_gap_is_base_period(rng):
-    src = CamSource(0, Tech.ITSG5, CON, rng)
+    src = CamSource(Tech.ITSG5, CON, rng)
     t = src.next_time_us
     src.generate(t)
     assert src.next_time_us - t == 100_000
@@ -95,7 +95,7 @@ def test_cam_source_constrained_gap_is_base_period(rng):
 
 def test_cam_source_per_packet_jitter_redraws(rng):
     cfg = TrafficConfig(per_packet_jitter=True)
-    src = CamSource(0, Tech.ITSG5, cfg, rng)
+    src = CamSource(Tech.ITSG5, cfg, rng)
     t = src.next_time_us
     gaps = set()
     for _ in range(20):
@@ -110,7 +110,7 @@ def test_cam_source_count_over_interval(rng):
     # Arrivals in [0, T) for a periodic source: floor(T/p) or one more,
     # depending on the initial phase.
     for _ in range(50):
-        src = CamSource(0, Tech.ITSG5, STD, rng)
+        src = CamSource(Tech.ITSG5, STD, rng)
         horizon = 10_000_000
         count = 0
         while src.next_time_us < horizon:
@@ -121,6 +121,6 @@ def test_cam_source_count_over_interval(rng):
 
 
 def test_cam_is_frozen():
-    cam = Cam(0, 0, 0, 350)
+    cam = Cam(0, 0, 350)
     with pytest.raises(AttributeError):
         cam.seq = 5
