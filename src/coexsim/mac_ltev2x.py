@@ -101,7 +101,6 @@ class SpsScheduler:
         self.next_tx_tti: int | None = None
         self.expiries = 0
         self.reselections = 0
-        self.last_selection: SelectionResult | None = None
         self.selection_log: list[SelectionResult] | None = None
 
     def _draw_counter(self) -> int:
@@ -161,10 +160,10 @@ class SpsScheduler:
         self.selected_offset = chosen % period
         self.next_tx_tti = chosen
         self.reselections += 1
-        self.last_selection = SelectionResult(chosen, np.sort(best), pool)
+        result = SelectionResult(chosen, np.sort(best), pool)
         if self.selection_log is not None:
-            self.selection_log.append(self.last_selection)
-        return self.last_selection
+            self.selection_log.append(result)
+        return result
 
     def on_generation(self, now_tti: int) -> int:
         """Advance the SPS counter at a CAM generation; returns the TTI that

@@ -114,9 +114,9 @@ def test_select_resource_logs_when_enabled():
     sched = make_scheduler()
     sched.selection_log = []
     sched.select_resource(0)
-    sched.select_resource(500)
+    last = sched.select_resource(500)
     assert len(sched.selection_log) == 2
-    assert sched.selection_log[-1] is sched.last_selection
+    assert sched.selection_log[-1] is last
 
 
 def test_high_rssi_candidate_is_never_picked():
