@@ -79,8 +79,8 @@ class EngineConfig:
         errors += self.road.validate()
         errors += self.link.validate()
         errors += self.shadowing.validate()
-        errors += self.traffic.validate()
-        errors += self.csma.validate()
+        timing_errors = self.traffic.validate() + self.csma.validate()
+        errors += timing_errors
         errors += self.sps.validate()
         if not 0.0 <= self.itsg5_fraction <= 1.0:
             errors.append("itsg5_fraction must be in [0,1]")
@@ -99,6 +99,13 @@ class EngineConfig:
         period_us = round(self.traffic.base_period_ms * 1000)
         if self.sps.selection_window_ttis * TTI_US != period_us:
             errors.append("selection_window_ttis must span exactly base_period_ms")
+        # An ITS-G5 frame must end before the station's next CAM; the shortest
+        # period a station can draw is base_period_ms - itsg5_jitter_ms.
+        shortest_us = (self.traffic.base_period_ms - self.traffic.itsg5_jitter_ms) * 1000
+        if (not timing_errors
+                and airtime_us(self.traffic.payload_bytes, self.csma) >= shortest_us):
+            errors.append("ITS-G5 airtime must be shorter than "
+                          "base_period_ms - itsg5_jitter_ms")
         return errors
 
 
@@ -335,15 +342,11 @@ class Simulation:
             mac.on_tx_complete(t_us)
 
     def _deliver(self, rec: TxRec, t_us: int) -> None:
-        if rec.lte and self.sps:
+        if rec.lte:
             offset = (rec.start_us // TTI_US) % self.cfg.sps.selection_window_ttis
-            now_tti = t_us // TTI_US
             cand = self.lte_ids[(rec.rx_mw[self.lte_ids] >= self.decode_mw)
                                 & ~rec.halfdup[self.lte_ids]]
-            for i in cand:
-                if int(i) != rec.tx:
-                    self.sps[int(i)].note_decode(
-                        rec.tx, offset, 10.0 * np.log10(rec.rx_mw[i]), now_tti)
+            self.sps[rec.tx].note_decode(cand, offset, t_us // TTI_US)
 
         if rec.cam.t_gen_us < self.warmup_us:
             return

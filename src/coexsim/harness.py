@@ -67,14 +67,6 @@ class ExperimentConfig:
         return errors
 
 
-def _parse_float(s: str) -> float:
-    return float(s)
-
-
-def _parse_int(s: str) -> int:
-    return int(s)
-
-
 def _parse_bool(s: str) -> bool:
     v = s.strip().lower()
     if v in ("true", "1", "yes", "on"):
@@ -84,26 +76,25 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"expected a boolean, got {s!r}")
 
 
-def _parse_float_list(s: str) -> list[float]:
+def _list_tokens(s: str) -> list[str]:
+    """Items of a comma-separated list, optionally wrapped in brackets."""
     body = s.strip()
     if body.startswith("[") and body.endswith("]"):
         body = body[1:-1]
     tokens = [t.strip() for t in body.split(",") if t.strip()]
     if not tokens:
         raise ValueError("expected a non-empty list")
-    return [float(t) for t in tokens]
+    return tokens
+
+
+def _parse_float_list(s: str) -> list[float]:
+    return [float(t) for t in _list_tokens(s)]
 
 
 def _parse_modes(s: str) -> list[TrafficMode]:
-    body = s.strip()
-    if body.startswith("[") and body.endswith("]"):
-        body = body[1:-1]
-    tokens = [t.strip().lower() for t in body.split(",") if t.strip()]
-    if not tokens:
-        raise ValueError("expected a non-empty list")
     valid = ", ".join(m.value for m in TrafficMode)
     modes = []
-    for t in tokens:
+    for t in _list_tokens(s.lower()):
         try:
             modes.append(TrafficMode(t))
         except ValueError:
@@ -117,63 +108,55 @@ def _parse_optional_float(s: str) -> float | None:
     return float(s)
 
 
-def _parse_str(s: str) -> str:
-    return s
-
-
-def _parse_path(s: str) -> Path:
-    return Path(s)
-
-
 # key -> (target section, field name, parser); flat key = value file format.
 _KEYS = {
-    "road_length_m": ("road", "length_m", _parse_float),
-    "lanes_per_direction": ("road", "lanes_per_direction", _parse_int),
-    "lane_width_m": ("road", "lane_width_m", _parse_float),
-    "density_veh_per_km": ("road", "density_veh_per_km", _parse_float),
-    "speed_mps": ("road", "speed_mps", _parse_float),
-    "tx_power_dbm": ("link", "tx_power_dbm", _parse_float),
-    "tx_gain_db": ("link", "tx_gain_db", _parse_float),
-    "rx_gain_db": ("link", "rx_gain_db", _parse_float),
-    "noise_figure_db": ("link", "noise_figure_db", _parse_float),
-    "bandwidth_hz": ("link", "bandwidth_hz", _parse_float),
-    "carrier_ghz": ("link", "carrier_ghz", _parse_float),
-    "shadowing_sigma_db": ("shadowing", "sigma_db", _parse_float),
-    "shadowing_decorr_m": ("shadowing", "decorr_m", _parse_float),
-    "payload_bytes": ("traffic", "payload_bytes", _parse_int),
-    "base_period_ms": ("traffic", "base_period_ms", _parse_float),
-    "itsg5_jitter_ms": ("traffic", "itsg5_jitter_ms", _parse_float),
+    "road_length_m": ("road", "length_m", float),
+    "lanes_per_direction": ("road", "lanes_per_direction", int),
+    "lane_width_m": ("road", "lane_width_m", float),
+    "density_veh_per_km": ("road", "density_veh_per_km", float),
+    "speed_mps": ("road", "speed_mps", float),
+    "tx_power_dbm": ("link", "tx_power_dbm", float),
+    "tx_gain_db": ("link", "tx_gain_db", float),
+    "rx_gain_db": ("link", "rx_gain_db", float),
+    "noise_figure_db": ("link", "noise_figure_db", float),
+    "bandwidth_hz": ("link", "bandwidth_hz", float),
+    "carrier_ghz": ("link", "carrier_ghz", float),
+    "shadowing_sigma_db": ("shadowing", "sigma_db", float),
+    "shadowing_decorr_m": ("shadowing", "decorr_m", float),
+    "payload_bytes": ("traffic", "payload_bytes", int),
+    "base_period_ms": ("traffic", "base_period_ms", float),
+    "itsg5_jitter_ms": ("traffic", "itsg5_jitter_ms", float),
     "per_packet_jitter": ("traffic", "per_packet_jitter", _parse_bool),
-    "aifs_us": ("csma", "aifs_us", _parse_int),
-    "slot_us": ("csma", "slot_us", _parse_int),
-    "cw_max_slots": ("csma", "cw_max_slots", _parse_int),
-    "cca_threshold_dbm": ("csma", "cca_threshold_dbm", _parse_float),
+    "aifs_us": ("csma", "aifs_us", int),
+    "slot_us": ("csma", "slot_us", int),
+    "cw_max_slots": ("csma", "cw_max_slots", int),
+    "cca_threshold_dbm": ("csma", "cca_threshold_dbm", float),
     "preamble_threshold_dbm": ("csma", "preamble_threshold_dbm", _parse_optional_float),
-    "mcs_data_rate_bps": ("csma", "mcs_data_rate_bps", _parse_float),
-    "keep_probability": ("sps", "keep_probability", _parse_float),
-    "reselection_counter_min": ("sps", "counter_min", _parse_int),
-    "reselection_counter_max": ("sps", "counter_max", _parse_int),
-    "sensing_window_ttis": ("sps", "sensing_window_ttis", _parse_int),
-    "selection_window_ttis": ("sps", "selection_window_ttis", _parse_int),
-    "best_fraction": ("sps", "best_fraction", _parse_float),
-    "decode_threshold_dbm": ("sps", "decode_threshold_dbm", _parse_float),
-    "reservation_expiry_ttis": ("sps", "reservation_expiry_ttis", _parse_int),
-    "itsg5_fraction": ("engine", "itsg5_fraction", _parse_float),
-    "warm_up_s": ("engine", "warm_up_s", _parse_float),
-    "measure_s": ("engine", "measure_s", _parse_float),
-    "mobility_update_ms": ("engine", "mobility_update_ms", _parse_int),
-    "relevance_margin_db": ("engine", "relevance_margin_db", _parse_float),
+    "mcs_data_rate_bps": ("csma", "mcs_data_rate_bps", float),
+    "keep_probability": ("sps", "keep_probability", float),
+    "reselection_counter_min": ("sps", "counter_min", int),
+    "reselection_counter_max": ("sps", "counter_max", int),
+    "sensing_window_ttis": ("sps", "sensing_window_ttis", int),
+    "selection_window_ttis": ("sps", "selection_window_ttis", int),
+    "best_fraction": ("sps", "best_fraction", float),
+    "decode_threshold_dbm": ("sps", "decode_threshold_dbm", float),
+    "reservation_expiry_ttis": ("sps", "reservation_expiry_ttis", int),
+    "itsg5_fraction": ("engine", "itsg5_fraction", float),
+    "warm_up_s": ("engine", "warm_up_s", float),
+    "measure_s": ("engine", "measure_s", float),
+    "mobility_update_ms": ("engine", "mobility_update_ms", int),
+    "relevance_margin_db": ("engine", "relevance_margin_db", float),
     "lte_rx_counts_itsg5_interference": ("engine", "lte_rx_counts_itsg5_interference", _parse_bool),
-    "max_distance_m": ("engine", "max_distance_m", _parse_float),
-    "bin_width_m": ("engine", "bin_width_m", _parse_float),
-    "itsg5_per_curve_csv": ("experiment", "itsg5_per_csv", _parse_str),
-    "ltev2x_per_curve_csv": ("experiment", "ltev2x_per_csv", _parse_str),
+    "max_distance_m": ("engine", "max_distance_m", float),
+    "bin_width_m": ("engine", "bin_width_m", float),
+    "itsg5_per_curve_csv": ("experiment", "itsg5_per_csv", str),
+    "ltev2x_per_curve_csv": ("experiment", "ltev2x_per_csv", str),
     "mix_fractions": ("experiment", "mix_fractions", _parse_float_list),
     "modes": ("experiment", "modes", _parse_modes),
-    "runs": ("experiment", "runs", _parse_int),
-    "master_seed": ("experiment", "master_seed", _parse_int),
-    "out_dir": ("experiment", "out_dir", _parse_path),
-    "jobs": ("experiment", "jobs", _parse_int),
+    "runs": ("experiment", "runs", int),
+    "master_seed": ("experiment", "master_seed", int),
+    "out_dir": ("experiment", "out_dir", Path),
+    "jobs": ("experiment", "jobs", int),
 }
 
 
@@ -265,19 +248,17 @@ def _execute_run(task):
     return run_simulation(engine_cfg, run_seed(master_seed, mix, mode_index, run_index))
 
 
-def _load_curves(cfg: ExperimentConfig):
-    errors, curves = [], []
+def _load_curves(cfg: ExperimentConfig, errors: list[str]) -> list[PerCurve | None]:
+    """The PER curves the config names; each one that fails to load adds an error."""
+    curves = []
     for path in (cfg.itsg5_per_csv, cfg.ltev2x_per_csv):
-        if path is None:
-            curves.append(None)
-            continue
-        try:
-            curves.append(PerCurve.from_csv(path))
-        except (OSError, ValueError) as exc:
-            errors.append(str(exc))
-            curves.append(None)
-    if errors:
-        raise ConfigError(errors)
+        curve = None
+        if path is not None:
+            try:
+                curve = PerCurve.from_csv(path)
+            except (OSError, ValueError) as exc:
+                errors.append(str(exc))
+        curves.append(curve)
     return curves
 
 
@@ -285,8 +266,9 @@ def run_experiment(cfg: ExperimentConfig, stdout=None) -> dict:
     """Execute the (mix x mode x runs) grid, emit one CSV per point plus a
     plot script, print a PRR summary; returns {(mode, mix): Aggregate}."""
     stdout = stdout or sys.stdout
-    itsg5_curve, lte_curve = _load_curves(cfg)
-    errors = cfg.validate()
+    errors: list[str] = []
+    itsg5_curve, lte_curve = _load_curves(cfg, errors)
+    errors += cfg.validate()
     if errors:
         raise ConfigError(errors)
 
@@ -366,16 +348,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
-        apply_cli(cfg, args)
-        errors = cfg.validate()
-        if errors:
-            raise ConfigError(errors)
-    except ConfigError as exc:
-        for e in exc.errors:
-            print(e, file=sys.stderr)
-        return 1
-    try:
-        run_experiment(cfg)
+        run_experiment(apply_cli(cfg, args))
     except ConfigError as exc:
         for e in exc.errors:
             print(e, file=sys.stderr)

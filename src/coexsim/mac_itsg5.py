@@ -45,8 +45,8 @@ class CsmaConfig:
         if (self.preamble_threshold_dbm is not None
                 and self.preamble_threshold_dbm >= self.cca_threshold_dbm):
             errors.append("preamble_threshold_dbm must be below cca_threshold_dbm")
-        if self.mcs_data_rate_bps <= 0:
-            errors.append("mcs_data_rate_bps must be > 0")
+        if round(self.mcs_data_rate_bps * SYMBOL_US * 1e-6) < 1:
+            errors.append("mcs_data_rate_bps must carry at least one bit per symbol")
         return errors
 
 

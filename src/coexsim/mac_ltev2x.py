@@ -37,6 +37,8 @@ class SpsConfig:
             errors.append("sensing_window_ttis must be a multiple of selection_window_ttis")
         if not 0.0 < self.best_fraction <= 1.0:
             errors.append("best_fraction must be in (0,1]")
+        if self.reservation_expiry_ttis < 1:
+            errors.append("reservation_expiry_ttis must be >= 1")
         return errors
 
 
@@ -46,6 +48,10 @@ class SensingHistory:
     Rows are a ring buffer keyed by tti % window. Unwritten or not yet
     finalized TTIs read back as the noise floor and non-blind, which doubles
     as the cold-start prior. Blind rows mark TTIs the node spent transmitting.
+
+    The decoded reservations of all nodes share one table indexed
+    [receiver, transmitter]: the announced offset (-1 for none) and the TTI
+    it was last decoded.
     """
 
     def __init__(self, n_nodes: int, noise_mw: float, window_ttis: int = 1000):
@@ -54,6 +60,8 @@ class SensingHistory:
         self.rssi_mw = np.full((window_ttis, n_nodes), noise_mw)
         self.blind = np.zeros((window_ttis, n_nodes), dtype=bool)
         self.last_finalized_tti = -1
+        self.resv_offset = np.full((n_nodes, n_nodes), -1)
+        self.resv_seen = np.zeros((n_nodes, n_nodes), dtype=int)
 
     def finalize(self, tti: int, avg_mw: np.ndarray, blind: np.ndarray) -> None:
         row = tti % self.window
@@ -97,7 +105,6 @@ class SpsScheduler:
         self.rng = rng
         self.selected_offset: int | None = None
         self.counter = 0
-        self.reservations: dict[int, tuple[int, float, int]] = {}
         self.next_tx_tti: int | None = None
         self.expiries = 0
         self.reselections = 0
@@ -112,15 +119,12 @@ class SpsScheduler:
         return now_tti + 1 + (self.selected_offset - now_tti - 1) % period
 
     def reserved_offset_mask(self, now_tti: int) -> np.ndarray:
-        period = self.cfg.selection_window_ttis
-        mask = np.zeros(period, dtype=bool)
-        expired = [n for n, (_, _, seen) in self.reservations.items()
-                   if now_tti - seen > self.cfg.reservation_expiry_ttis]
-        for n in expired:
-            del self.reservations[n]
-        for offset, power_dbm, _ in self.reservations.values():
-            if power_dbm >= self.cfg.decode_threshold_dbm:
-                mask[offset] = True
+        """Offsets announced by the reservations this node decoded that are
+        still live at now_tti."""
+        offsets = self.history.resv_offset[self.node]
+        age = now_tti - self.history.resv_seen[self.node]
+        mask = np.zeros(self.cfg.selection_window_ttis, dtype=bool)
+        mask[offsets[(offsets >= 0) & (age <= self.cfg.reservation_expiry_ttis)]] = True
         return mask
 
     def select_resource(self, now_tti: int) -> SelectionResult:
@@ -184,8 +188,8 @@ class SpsScheduler:
                 self.next_tx_tti = self._next_occurrence(now_tti)
         return self.next_tx_tti
 
-    def note_decode(self, tx_node: int, offset: int, power_dbm: float,
-                    now_tti: int) -> None:
-        """Record a decoded reservation from a received control message."""
-        if power_dbm >= self.cfg.decode_threshold_dbm:
-            self.reservations[tx_node] = (offset, power_dbm, now_tti)
+    def note_decode(self, receivers: np.ndarray, offset: int, now_tti: int) -> None:
+        """Record this node's reservation at every receiver that decoded its
+        control message."""
+        self.history.resv_offset[receivers, self.node] = offset
+        self.history.resv_seen[receivers, self.node] = now_tti

@@ -35,6 +35,8 @@ class RoadConfig:
             errors.append("length_m must be > 0")
         if self.lanes_per_direction < 1:
             errors.append("lanes_per_direction must be >= 1")
+        if self.lane_width_m <= 0:
+            errors.append("lane_width_m must be > 0")
         if self.density_veh_per_km <= 0:
             errors.append("density_veh_per_km must be > 0")
         if self.speed_mps < 0:

@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coexsim import engine as eng
 from coexsim.channel import ShadowingConfig, path_loss_db, rx_power_mw
 from coexsim.engine import Simulation
+from coexsim.mac_itsg5 import CsmaConfig, airtime_us
 from coexsim.mac_ltev2x import OCCUPIED_US, TTI_US, SpsConfig
 from coexsim.scenario import Direction, RoadConfig, Tech, Vehicle
-from coexsim.traffic import TrafficConfig
+from coexsim.traffic import TrafficConfig, TrafficMode
 
 from conftest import small_engine_config
 
@@ -51,6 +54,21 @@ def test_sensing_window_must_hold_whole_selection_windows():
     assert cfg.validate() == [
         "sensing_window_ttis must be a multiple of selection_window_ttis"]
     assert small_engine_config(sps=SpsConfig(sensing_window_ttis=500)).validate() == []
+
+
+def test_itsg5_airtime_must_fit_the_shortest_period():
+    # At 125 kb/s each 8 us symbol carries one bit: 1481 bytes take exactly
+    # the 95 ms that base_period_ms - itsg5_jitter_ms leaves, 1480 bytes 64 us less.
+    csma = CsmaConfig(mcs_data_rate_bps=125e3)
+    assert airtime_us(1481, csma) == 95_000
+    cfg = small_engine_config(csma=csma, traffic=TrafficConfig(payload_bytes=1481))
+    assert cfg.validate() == [
+        "ITS-G5 airtime must be shorter than base_period_ms - itsg5_jitter_ms"]
+    cfg.traffic.payload_bytes = 1480
+    assert cfg.validate() == []
+    # A wider jitter lets a station draw a 94.9 ms period.
+    cfg.traffic.itsg5_jitter_ms = 5.1
+    assert cfg.validate()
 
 
 def test_same_seed_same_digest():
@@ -103,10 +121,76 @@ def test_cam_conservation():
                                    + c["cams_dropped"] + leftover)
 
 
+@settings(max_examples=40)
+@given(length_m=st.floats(200.0, 500.0), itsg5_fraction=st.floats(0.0, 1.0),
+       mode=st.sampled_from(TrafficMode), per_packet_jitter=st.booleans(),
+       preamble=st.booleans(), lte_counts_g5=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_accounting_identities_hold_for_any_valid_config(
+        length_m, itsg5_fraction, mode, per_packet_jitter, preamble,
+        lte_counts_g5, seed):
+    cfg = small_engine_config(
+        road=RoadConfig(length_m=length_m),
+        itsg5_fraction=itsg5_fraction,
+        traffic=TrafficConfig(mode=mode, per_packet_jitter=per_packet_jitter),
+        csma=CsmaConfig(preamble_threshold_dbm=-95.0 if preamble else None),
+        lte_rx_counts_itsg5_interference=lte_counts_g5,
+        warm_up_s=0.2, measure_s=0.5)
+    assert cfg.validate() == []
+    sim = Simulation(cfg, seed=seed)
+    log = sim.run()
+    c = log.counters
+    pending = sum(m.pending is not None for m in sim.macs if m is not None)
+    pending += len(sim.lte_pending)
+    assert c["cams_generated"] == (c["tx_itsg5"] + c["tx_ltev2x"]
+                                   + c["cams_dropped"] + pending)
+    assert c["rx_success"] + c["rx_halfduplex"] <= c["rx_opportunities"]
+    h = log.histogram
+    assert (h.successes <= h.opportunities).all()
+
+
 def test_mixed_run_populates_reservations():
     sim = Simulation(small_engine_config(), seed=11)
     sim.run()
-    assert any(s.reservations for s in sim.sps.values())
+    resv = sim.history.resv_offset
+    assert (resv >= 0).any()
+    # Only LTE nodes decode control messages, and only LTE nodes announce.
+    assert (resv[sim.g5_ids] == -1).all()
+    assert (resv[:, sim.g5_ids] == -1).all()
+
+
+def test_weak_reservation_is_not_recorded():
+    # Without shadowing the pair hears each other at -99 dBm at 500 m and
+    # -118 dBm at 1500 m, either side of the -110 dBm decode threshold.
+    road = RoadConfig(length_m=20_000.0, density_veh_per_km=1.0)
+    cfg = small_engine_config(road=road, itsg5_fraction=0.0, shadowing=NO_SHADOW,
+                              warm_up_s=0.0, measure_s=1.0)
+    for d_m, recorded in ((500.0, True), (1500.0, False)):
+        sim = Simulation(cfg, seed=5,
+                         vehicles=two_vehicles(d_m, (Tech.LTEV2X, Tech.LTEV2X)))
+        sim.run()
+        assert sim.counters["tx_ltev2x"] > 0
+        assert (sim.history.resv_offset[[0, 1], [1, 0]] >= 0).all() == recorded
+
+
+def test_half_duplex_receiver_records_no_reservation():
+    # Both nodes transmit in every TTI, so neither ever decodes the other.
+    cfg = small_engine_config(itsg5_fraction=0.0, shadowing=NO_SHADOW,
+                              measure_s=0.5, lte_continuous_tx=True)
+    sim = Simulation(cfg, seed=5, vehicles=two_vehicles(50.0, (Tech.LTEV2X, Tech.LTEV2X)))
+    sim.run()
+    assert sim.counters["tx_ltev2x"] > 0
+    assert (sim.history.resv_offset == -1).all()
+
+
+def test_node_never_records_its_own_reservation():
+    # rx_mw has a zero diagonal, so a transmitter never passes the decode filter.
+    cfg = small_engine_config(itsg5_fraction=0.0, shadowing=NO_SHADOW, measure_s=1.0)
+    sim = Simulation(cfg, seed=5, vehicles=two_vehicles(100.0, (Tech.LTEV2X, Tech.LTEV2X)))
+    sim.run()
+    resv = sim.history.resv_offset
+    assert resv[0, 1] >= 0 and resv[1, 0] >= 0
+    assert resv[0, 0] == -1 and resv[1, 1] == -1
 
 
 def test_mobility_moves_vehicles_and_updates_shadowing():

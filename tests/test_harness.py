@@ -127,6 +127,33 @@ def test_main_rejects_inconsistent_configs(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("lines, message", [
+    ("reservation_expiry_ttis = 0", "reservation_expiry_ttis must be >= 1"),
+    ("reservation_expiry_ttis = -5", "reservation_expiry_ttis must be >= 1"),
+    ("lane_width_m = 0", "lane_width_m must be > 0"),
+    ("lane_width_m = -4", "lane_width_m must be > 0"),
+    ("payload_bytes = 4000\nmcs_data_rate_bps = 300000",
+     "ITS-G5 airtime must be shorter than base_period_ms - itsg5_jitter_ms"),
+])
+def test_main_rejects_configs_without_meaningful_results(tmp_path, capsys, lines, message):
+    cfg_path = write_config(tmp_path, FAST_CONFIG + lines + "\n")
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_reports_curve_and_validation_errors_together(tmp_path, capsys):
+    missing = tmp_path / "no_such_curve.csv"
+    cfg_path = write_config(tmp_path, FAST_CONFIG + f"itsg5_per_curve_csv = {missing}\n")
+    assert main(["--config", str(cfg_path), "--runs", "0",
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert "no_such_curve.csv" in err[0]
+    assert err[1] == "runs must be >= 1"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_overrides():
     args = build_parser().parse_args(
         ["--mix", "0.5,0.25", "--mode", "constrained", "--runs", "1",

@@ -93,6 +93,10 @@ def test_config_validation():
     # Preamble detection must be the more sensitive of the two tiers.
     assert CsmaConfig(preamble_threshold_dbm=-60.0).validate()
     assert CsmaConfig(preamble_threshold_dbm=None).validate() == []
+    # Below one bit per 8 us symbol no frame length is defined.
+    assert CsmaConfig(mcs_data_rate_bps=0.0).validate()
+    assert CsmaConfig(mcs_data_rate_bps=50e3).validate()
+    assert CsmaConfig(mcs_data_rate_bps=125e3).validate() == []
 
 
 def test_idle_channel_transmits_after_aifs_without_backoff():

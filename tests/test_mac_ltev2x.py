@@ -76,6 +76,11 @@ def test_sps_config_validation():
     assert SpsConfig(sensing_window_ttis=50).validate()
     assert SpsConfig(selection_window_ttis=0).validate()
     assert SpsConfig(best_fraction=0.0).validate()
+    # An expiry below one TTI leaves every decoded reservation dead on arrival.
+    assert SpsConfig(reservation_expiry_ttis=0).validate() == [
+        "reservation_expiry_ttis must be >= 1"]
+    assert SpsConfig(reservation_expiry_ttis=-5).validate()
+    assert SpsConfig(reservation_expiry_ttis=1).validate() == []
 
 
 def test_sensing_history_stores_per_tti_rows():
@@ -141,33 +146,38 @@ def test_blind_candidate_is_excluded_from_pool():
     assert not np.any(sel.pool_ttis % 100 == 37)
 
 
+def announce(history, tx_node, offset, now_tti, receivers=(0,)):
+    """Node tx_node's control message decoded by `receivers`."""
+    sched = SpsScheduler(tx_node, SpsConfig(), history, np.random.default_rng(0))
+    sched.note_decode(np.array(receivers), offset, now_tti)
+
+
 def test_decoded_reservation_excludes_offset():
-    sched = make_scheduler()
-    sched.note_decode(5, offset=7, power_dbm=-70.0, now_tti=900)
-    sel = sched.select_resource(999)
+    h = flat_history(6)
+    announce(h, 5, offset=7, now_tti=900)
+    assert h.resv_offset[:, 5].tolist() == [7, -1, -1, -1, -1, -1]
+    sel = make_scheduler(history=h).select_resource(999)
     assert sel.pool_ttis.size == 99
     assert not np.any(sel.pool_ttis % 100 == 7)
 
 
-def test_weak_reservation_is_not_recorded():
-    sched = make_scheduler()
-    sched.note_decode(5, offset=7, power_dbm=-115.0, now_tti=900)
-    assert sched.reservations == {}
-    assert sched.select_resource(999).pool_ttis.size == 100
-
-
 def test_reservation_expires_after_one_second():
-    sched = make_scheduler()
-    sched.note_decode(5, offset=7, power_dbm=-70.0, now_tti=900)
-    assert sched.reserved_offset_mask(1900).any()
+    h = flat_history(6)
+    announce(h, 5, offset=7, now_tti=900)
+    sched = make_scheduler(history=h)
+    assert sched.reserved_offset_mask(1900).tolist() == [i == 7 for i in range(100)]
     assert not sched.reserved_offset_mask(1902).any()
-    assert sched.reservations == {}
+    # A fresh decode of the same transmitter revives the entry.
+    announce(h, 5, offset=9, now_tti=1901)
+    assert sched.reserved_offset_mask(1902).nonzero()[0].tolist() == [9]
 
 
 def test_all_offsets_reserved_falls_back_to_full_pool():
-    sched = make_scheduler()
+    h = flat_history(101)
     for n in range(100):
-        sched.note_decode(n + 1, offset=n, power_dbm=-70.0, now_tti=900)
+        announce(h, n + 1, offset=n, now_tti=900)
+    sched = make_scheduler(history=h)
+    assert sched.reserved_offset_mask(999).all()
     sel = sched.select_resource(999)
     assert sel.pool_ttis.size == 100
 

@@ -104,6 +104,12 @@ def test_advance_rejects_negative_dt():
     assert EngineConfig(mobility_update_ms=0).validate()
 
 
+def test_road_config_rejects_non_positive_lane_width():
+    assert RoadConfig().validate() == []
+    assert RoadConfig(lane_width_m=0.0).validate() == ["lane_width_m must be > 0"]
+    assert RoadConfig(lane_width_m=-4.0).validate() == ["lane_width_m must be > 0"]
+
+
 def test_advance_mobility_tick_distance():
     assert move(100.0, 1, 0.1) - 100.0 == pytest.approx(3.8889, abs=1e-4)
 
