@@ -69,10 +69,6 @@ class EngineConfig:
     # receptions, and 802.11p energy in the SPS sensing averages are always
     # counted regardless.
     lte_rx_counts_itsg5_interference: bool = True
-    # Validation scenario: every LTE node transmits in every TTI, bypassing SPS.
-    lte_continuous_tx: bool = False
-    record_cca_trace: bool = False
-    record_selections: bool = False
 
     def validate(self) -> list[str]:
         errors = []
@@ -114,9 +110,6 @@ class RunLog:
     histogram: PrrHistogram
     counters: dict[str, int]
     n_vehicles: int
-    cca_trace: dict[int, list[tuple[int, bool]]] | None = None
-    tx_starts: list[tuple[int, int]] | None = None
-    selections: dict[int, list] | None = None
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -203,9 +196,6 @@ class Simulation:
             int(i): SpsScheduler(int(i), config.sps, self.history, self.rng["sps"])
             for i in self.lte_ids
         }
-        if config.record_selections:
-            for sched in self.sps.values():
-                sched.selection_log = []
         self.sources = [CamSource(v.tech, config.traffic, self.rng["traffic"])
                         for v in vehicles]
 
@@ -218,10 +208,6 @@ class Simulation:
             "counted_tx": 0, "rx_opportunities": 0, "rx_success": 0,
             "rx_halfduplex": 0, "lte_silent_periods": 0,
         }
-        self.cca_trace: dict[int, list[tuple[int, bool]]] | None = (
-            {int(i): [] for i in self.g5_ids} if config.record_cca_trace else None)
-        self.tx_starts: list[tuple[int, int]] | None = (
-            [] if config.record_cca_trace else None)
 
         self.now = 0
         self.end_us = round((config.warm_up_s + config.measure_s) * 1e6)
@@ -236,8 +222,6 @@ class Simulation:
         self._push(0, EV_TTI, 0)
         self._push(config.mobility_update_ms * 1000, EV_MOBILITY, None)
         for i, src in enumerate(self.sources):
-            if config.lte_continuous_tx and self.is_lte[i]:
-                continue
             self._push(src.next_time_us, EV_CAM, i)
         self._push(self.end_us, EV_RUNEND, None)
 
@@ -275,6 +259,8 @@ class Simulation:
         self._last_int_us = t_us
 
     def _update_busy(self, t_us: int) -> None:
+        if self.g5_ids.size == 0:
+            return  # only CSMA MACs read the CCA state
         busy_new = cca_busy(self.power_mw, self.noise_mw, self.cca_mw,
                             self._preamble_count)
         changed = np.nonzero(busy_new != self.busy)[0]
@@ -285,15 +271,14 @@ class Simulation:
             mac = self.macs[i]
             if mac is None:
                 continue
-            if self.cca_trace is not None:
-                self.cca_trace[int(i)].append((t_us, bool(busy_new[i])))
             if busy_new[i]:
                 mac.on_busy(t_us)
             else:
                 mac.on_idle(t_us)
 
     def _begin_tx(self, node: int, cam: Cam, t_us: int, lte: bool) -> None:
-        assert node not in self.active, "node already transmitting"
+        if node in self.active:
+            raise RuntimeError(f"node {node} is already transmitting")
         self._integrate_rssi(t_us)
         dur = OCCUPIED_US if lte else airtime_us(cam.payload_bytes, self.cfg.csma)
         rec = TxRec(node, lte, cam, t_us, t_us + dur,
@@ -312,8 +297,6 @@ class Simulation:
             self.counters["tx_ltev2x"] += 1
         else:
             self.counters["tx_itsg5"] += 1
-            if self.tx_starts is not None:
-                self.tx_starts.append((t_us, node))
 
     def _end_tx(self, rec: TxRec, t_us: int) -> None:
         self._integrate_rssi(t_us)
@@ -378,18 +361,13 @@ class Simulation:
         self._cur_tti = tti
         self._last_int_us = t_us
 
-        if self.cfg.lte_continuous_tx:
-            for i in self.lte_ids:
-                cam = Cam(tti, t_us, self.cfg.traffic.payload_bytes)
-                self._begin_tx(int(i), cam, t_us, lte=True)
-        else:
-            for node, seq in self.lte_sched.pop(tti, ()):
-                cam = self.lte_pending.get(node)
-                if cam is None or cam.seq != seq:
-                    self.counters["lte_silent_periods"] += 1
-                    continue
-                del self.lte_pending[node]
-                self._begin_tx(node, cam, t_us, lte=True)
+        for node, seq in self.lte_sched.pop(tti, ()):
+            cam = self.lte_pending.get(node)
+            if cam is None or cam.seq != seq:
+                self.counters["lte_silent_periods"] += 1
+                continue
+            del self.lte_pending[node]
+            self._begin_tx(node, cam, t_us, lte=True)
 
         if (tti + 1) * TTI_US <= self.end_us:
             self._push((tti + 1) * TTI_US, EV_TTI, tti + 1)
@@ -427,7 +405,8 @@ class Simulation:
         heap = self.heap
         while heap:
             t, kind, _, payload = heapq.heappop(heap)
-            assert t >= self.now, "event processed out of time order"
+            if t < self.now:
+                raise RuntimeError(f"event at {t} us processed after {self.now} us")
             self.now = t
             if kind == EV_RUNEND:
                 break
@@ -446,15 +425,7 @@ class Simulation:
                 self._on_mobility(t)
         drops = sum(m.drops for m in self.macs if m is not None)
         self.counters["cams_dropped"] += drops
-        return RunLog(
-            histogram=self.hist,
-            counters=dict(self.counters),
-            n_vehicles=self.n,
-            cca_trace=self.cca_trace,
-            tx_starts=self.tx_starts,
-            selections=({int(i): s.selection_log for i, s in self.sps.items()}
-                        if self.cfg.record_selections else None),
-        )
+        return RunLog(histogram=self.hist, counters=dict(self.counters), n_vehicles=self.n)
 
 
 def run(config: EngineConfig, seed, vehicles: list[Vehicle] | None = None) -> RunLog:

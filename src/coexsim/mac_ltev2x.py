@@ -106,9 +106,6 @@ class SpsScheduler:
         self.selected_offset: int | None = None
         self.counter = 0
         self.next_tx_tti: int | None = None
-        self.expiries = 0
-        self.reselections = 0
-        self.selection_log: list[SelectionResult] | None = None
 
     def _draw_counter(self) -> int:
         return int(self.rng.integers(self.cfg.counter_min, self.cfg.counter_max + 1))
@@ -163,11 +160,7 @@ class SpsScheduler:
 
         self.selected_offset = chosen % period
         self.next_tx_tti = chosen
-        self.reselections += 1
-        result = SelectionResult(chosen, np.sort(best), pool)
-        if self.selection_log is not None:
-            self.selection_log.append(result)
-        return result
+        return SelectionResult(chosen, np.sort(best), pool)
 
     def on_generation(self, now_tti: int) -> int:
         """Advance the SPS counter at a CAM generation; returns the TTI that
@@ -178,7 +171,6 @@ class SpsScheduler:
         else:
             self.counter -= 1
             if self.counter <= 0:
-                self.expiries += 1
                 if self.rng.random() < self.cfg.keep_probability:
                     self.next_tx_tti = self._next_occurrence(now_tti)
                 else:

@@ -1,7 +1,12 @@
-"""Plain scalar reference versions of package code, for tests only.
+"""Test-only references and instruments for package code.
 
-Each one restates a rule the simulator applies in vectorized form, written
-the obvious way, so tests can assert that the two agree.
+The scalar references restate a rule the simulator applies in vectorized
+form, written the obvious way, so tests can assert that the two agree.
+
+The instruments observe a Simulation from outside: each wraps methods of one
+instance and records what passes through before the run starts, so the
+package carries no recording flags of its own. ContinuousLte is a saturation
+driver written as a Simulation subclass.
 """
 
 import csv
@@ -9,8 +14,10 @@ import math
 
 import numpy as np
 
+from coexsim.engine import Simulation
 from coexsim.results import CSV_HEADER
 from coexsim.scenario import RoadConfig, Vehicle
+from coexsim.traffic import Cam
 
 
 def advance(vehicles: list[Vehicle], cfg: RoadConfig, dt_s: float) -> None:
@@ -48,3 +55,99 @@ def read_csv(path) -> list[dict]:
                 "runs": int(row[6]),
             })
     return rows
+
+
+def _logged(callback, edges: list, busy: bool):
+    def wrapper(now_us):
+        edges.append((now_us, busy))
+        callback(now_us)
+    return wrapper
+
+
+def _kept(select, results: list):
+    def wrapper(now_tti):
+        result = select(now_tti)
+        results.append(result)
+        return result
+    return wrapper
+
+
+def record_cca(sim: Simulation) -> tuple[dict[int, list[tuple[int, bool]]],
+                                         list[tuple[int, int]]]:
+    """Record every CCA edge of each ITS-G5 node and every CSMA transmission.
+
+    Returns (edges, starts): edges[node] lists (t_us, busy) in the order the
+    engine reports the edges to the node's MAC, and starts lists (t_us, node)
+    for each frame a CSMA MAC puts on air. Both fill in as the run proceeds.
+    """
+    edges = {}
+    for mac in sim.macs:
+        if mac is not None:
+            edges[mac.node] = log = []
+            mac.on_busy = _logged(mac.on_busy, log, True)
+            mac.on_idle = _logged(mac.on_idle, log, False)
+    starts = []
+    start_tx = sim.start_tx
+
+    def spy(node, cam, now_us):
+        start_tx(node, cam, now_us)
+        starts.append((now_us, node))
+
+    sim.start_tx = spy
+    return edges, starts
+
+
+def record_selections(sim: Simulation) -> dict[int, list]:
+    """Keep every SelectionResult each LTE node's scheduler returns."""
+    selections = {}
+    for node, sched in sim.sps.items():
+        selections[node] = results = []
+        sched.select_resource = _kept(sched.select_resource, results)
+    return selections
+
+
+class SpsCounts:
+    """Reselections and counter expiries of one SPS scheduler, from now on.
+
+    Every reselection is a select_resource call, and every counter draw
+    after the first follows an expiry.
+    """
+
+    def __init__(self, sched):
+        self.reselections = 0
+        self.draws = 0
+        select, draw = sched.select_resource, sched._draw_counter
+
+        def select_spy(now_tti):
+            self.reselections += 1
+            return select(now_tti)
+
+        def draw_spy():
+            self.draws += 1
+            return draw()
+
+        sched.select_resource = select_spy
+        sched._draw_counter = draw_spy
+
+    @property
+    def expiries(self) -> int:
+        return self.draws - 1
+
+
+class ContinuousLte(Simulation):
+    """Saturation driver: every LTE node transmits in every TTI, bypassing SPS.
+
+    LTE nodes generate no CAMs. At each TTI every LTE node, in ascending id
+    order, gets a fresh CAM scheduled for that TTI, which the engine's own
+    TTI work then puts on air. ITS-G5 nodes run as usual.
+    """
+
+    def _on_cam(self, node: int, t_us: int) -> None:
+        if not self.is_lte[node]:
+            super()._on_cam(node, t_us)
+
+    def _on_tti(self, tti: int, t_us: int) -> None:
+        for i in self.lte_ids:
+            self.lte_pending[int(i)] = Cam(tti, t_us, self.cfg.traffic.payload_bytes)
+            self.lte_sched.setdefault(tti, []).append((int(i), tti))
+        super()._on_tti(tti, t_us)

@@ -18,12 +18,14 @@ from scipy import stats
 
 from coexsim import engine as eng
 from coexsim.channel import ar1_shadowing_step, noise_floor_dbm, path_loss_db
-from coexsim.engine import EngineConfig
+from coexsim.engine import EngineConfig, Simulation
 from coexsim.harness import ExperimentConfig, run_experiment, run_seed
 from coexsim.mac_ltev2x import SensingHistory, SpsConfig, SpsScheduler
 from coexsim.results import aggregate
 from coexsim.scenario import Direction, RoadConfig, Tech, Vehicle
 from coexsim.traffic import TrafficMode
+
+from oracles import ContinuousLte, SpsCounts, record_cca, record_selections
 
 RUNS = 10
 MASTER_SEED = 1
@@ -141,21 +143,23 @@ def _idle_throughout(times, states, start, end):
 
 
 def test_no_transmission_without_full_idle_window():
-    cfg = EngineConfig(itsg5_fraction=0.5, record_cca_trace=True)
-    log = eng.run(cfg, run_seed(MASTER_SEED, 0.5, 0, 0))
+    cfg = EngineConfig(itsg5_fraction=0.5)
+    sim = Simulation(cfg, run_seed(MASTER_SEED, 0.5, 0, 0))
+    edges, starts = record_cca(sim)
+    sim.run()
     aifs = cfg.csma.aifs_us
     violations = 0
     per_node = {
         node: ([t for t, _ in trans], [b for _, b in trans])
-        for node, trans in log.cca_trace.items()
+        for node, trans in edges.items()
     }
-    for t, node in log.tx_starts:
+    for t, node in starts:
         times, states = per_node[node]
         if not _idle_throughout(times, states, t - aifs, t):
             violations += 1
     ok = violations == 0
     assert report("csma idle-window safety", ok,
-                  f"{violations} of {len(log.tx_starts)} starts violated "
+                  f"{violations} of {len(starts)} starts violated "
                   f"the {aifs} us window")
 
 
@@ -164,8 +168,8 @@ def test_saturating_lte_neighbor_blocks_csma():
         Vehicle(0, 0.0, Direction.FORWARD, Tech.ITSG5),
         Vehicle(0, 10.0, Direction.FORWARD, Tech.LTEV2X),
     ]
-    cfg = EngineConfig(warm_up_s=0.0, measure_s=10.0, lte_continuous_tx=True)
-    log = eng.run(cfg, seed=1, vehicles=vehicles)
+    cfg = EngineConfig(warm_up_s=0.0, measure_s=10.0)
+    log = ContinuousLte(cfg, seed=1, vehicles=vehicles).run()
     c = log.counters
     ok = c["tx_itsg5"] == 0 and c["cams_generated"] >= 90
     assert report("saturated-channel blocking", ok,
@@ -175,12 +179,13 @@ def test_saturating_lte_neighbor_blocks_csma():
 
 def test_sps_selections_stay_in_best_fifth():
     cfg = EngineConfig(road=RoadConfig(length_m=500.0, density_veh_per_km=40.0),
-                       itsg5_fraction=0.0, warm_up_s=1.0, measure_s=3.0,
-                       record_selections=True)
-    log = eng.run(cfg, seed=21)
+                       itsg5_fraction=0.0, warm_up_s=1.0, measure_s=3.0)
+    sim = Simulation(cfg, seed=21)
+    selections = record_selections(sim)
+    sim.run()
     checked = 0
     ok = True
-    for sels in log.selections.values():
+    for sels in selections.values():
         for sel in sels:
             checked += 1
             in_best = sel.chosen_tti in sel.best_ttis
@@ -248,15 +253,16 @@ def test_reselection_interval_statistics():
     noise_mw = 10 ** (-98.0 / 10.0)
     sched = SpsScheduler(0, SpsConfig(), SensingHistory(1, noise_mw),
                          np.random.default_rng(3))
+    counts = SpsCounts(sched)
     now = 0
     sched.on_generation(now)
     gens = 0
-    while sched.expiries < 10_000:
+    while counts.expiries < 10_000:
         now += 100
         sched.on_generation(now)
         gens += 1
-    mean = gens / (sched.reselections - 1)
+    mean = gens / (counts.reselections - 1)
     ok = abs(mean - 20.0) <= 2.0
     assert report("keep-probability interval", ok,
                   f"mean {mean:.2f} beacon periods per reselection over "
-                  f"{sched.expiries} expiries, need 20 +/- 10%")
+                  f"{counts.expiries} expiries, need 20 +/- 10%")

@@ -11,9 +11,10 @@ from coexsim.engine import Simulation
 from coexsim.mac_itsg5 import CsmaConfig, airtime_us
 from coexsim.mac_ltev2x import OCCUPIED_US, TTI_US, SpsConfig
 from coexsim.scenario import Direction, RoadConfig, Tech, Vehicle
-from coexsim.traffic import TrafficConfig, TrafficMode
+from coexsim.traffic import Cam, TrafficConfig, TrafficMode
 
 from conftest import small_engine_config
+from oracles import ContinuousLte, record_cca
 
 NO_SHADOW = ShadowingConfig(sigma_db=0.0)
 
@@ -159,6 +160,21 @@ def test_mixed_run_populates_reservations():
     assert (resv[:, sim.g5_ids] == -1).all()
 
 
+def test_second_start_of_an_active_transmitter_is_an_error():
+    cfg = small_engine_config(itsg5_fraction=1.0)
+    sim = Simulation(cfg, seed=1, vehicles=two_vehicles())
+    sim._begin_tx(0, Cam(0, 0, 350), 0, lte=False)
+    with pytest.raises(RuntimeError, match="already transmitting"):
+        sim._begin_tx(0, Cam(1, 0, 350), 100, lte=False)
+
+
+def test_event_in_the_past_is_an_error():
+    sim = Simulation(small_engine_config(), seed=1)
+    sim.now = 2000  # past the first TTI tick, pushed at 0 us
+    with pytest.raises(RuntimeError, match="event at 0 us processed after 2000 us"):
+        sim.run()
+
+
 def test_weak_reservation_is_not_recorded():
     # Without shadowing the pair hears each other at -99 dBm at 500 m and
     # -118 dBm at 1500 m, either side of the -110 dBm decode threshold.
@@ -176,8 +192,8 @@ def test_weak_reservation_is_not_recorded():
 def test_half_duplex_receiver_records_no_reservation():
     # Both nodes transmit in every TTI, so neither ever decodes the other.
     cfg = small_engine_config(itsg5_fraction=0.0, shadowing=NO_SHADOW,
-                              measure_s=0.5, lte_continuous_tx=True)
-    sim = Simulation(cfg, seed=5, vehicles=two_vehicles(50.0, (Tech.LTEV2X, Tech.LTEV2X)))
+                              measure_s=0.5)
+    sim = ContinuousLte(cfg, seed=5, vehicles=two_vehicles(50.0, (Tech.LTEV2X, Tech.LTEV2X)))
     sim.run()
     assert sim.counters["tx_ltev2x"] > 0
     assert (sim.history.resv_offset == -1).all()
@@ -227,9 +243,9 @@ def test_below_noise_link_yields_no_opportunities():
 
 def test_continuous_lte_pair_always_half_duplex():
     cfg = small_engine_config(itsg5_fraction=0.0, shadowing=NO_SHADOW,
-                              measure_s=1.0, lte_continuous_tx=True)
-    log = eng.run(cfg, seed=5,
-                  vehicles=two_vehicles(50.0, (Tech.LTEV2X, Tech.LTEV2X)))
+                              measure_s=1.0)
+    log = ContinuousLte(cfg, seed=5,
+                        vehicles=two_vehicles(50.0, (Tech.LTEV2X, Tech.LTEV2X))).run()
     c = log.counters
     assert c["tx_ltev2x"] >= 2 * 1000
     assert c["rx_opportunities"] > 0
@@ -246,7 +262,6 @@ def test_concurrent_power_sums_and_two_tier_sensing():
     cfg = small_engine_config(itsg5_fraction=1.0, shadowing=NO_SHADOW)
     sim = Simulation(cfg, seed=1, vehicles=vehicles)
     assert not sim.busy.any()
-    from coexsim.traffic import Cam
     sim._begin_tx(0, Cam(0, 0, 350), 0, lte=False)
     sim._begin_tx(1, Cam(0, 0, 350), 0, lte=False)
     # Middle node hears both 100 m neighbours at about -71 dBm each.
@@ -269,7 +284,6 @@ def test_energy_only_sensing_ignores_sub_threshold_preambles():
     cfg = small_engine_config(itsg5_fraction=1.0, shadowing=NO_SHADOW)
     cfg.csma.preamble_threshold_dbm = None
     sim = Simulation(cfg, seed=1, vehicles=vehicles)
-    from coexsim.traffic import Cam
     sim._begin_tx(0, Cam(0, 0, 350), 0, lte=False)
     assert not sim.busy[1]  # -71 dBm is below the energy gate
 
@@ -279,14 +293,14 @@ def test_sensed_rssi_averages_burst_over_occupied_symbols():
     # power * 512/929 plus the noise floor.
     vehicles = two_vehicles(100.0, (Tech.ITSG5, Tech.LTEV2X))
     cfg = small_engine_config(itsg5_fraction=0.5, shadowing=NO_SHADOW,
-                              warm_up_s=0.0, measure_s=2.0,
-                              record_cca_trace=True)
+                              warm_up_s=0.0, measure_s=2.0)
     sim = Simulation(cfg, seed=9, vehicles=vehicles)
-    log = sim.run()
+    _, starts = record_cca(sim)
+    sim.run()
     rx_mw = rx_power_mw(path_loss_db(100.0, cfg.link), 0.0, cfg.link)
     expected = rx_mw * 512.0 / OCCUPIED_US + sim.noise_mw
     checked = 0
-    for t, node in log.tx_starts:
+    for t, node in starts:
         tti, off = divmod(t, TTI_US)
         if off + 512 > OCCUPIED_US or tti > sim.history.last_finalized_tti:
             continue
@@ -322,7 +336,6 @@ def test_interference_energy_counts_only_the_overlap():
     ]
     cfg = small_engine_config(itsg5_fraction=1.0, shadowing=NO_SHADOW)
     sim = Simulation(cfg, seed=1, vehicles=vehicles)
-    from coexsim.traffic import Cam
     sim._begin_tx(0, Cam(0, 0, 350), 0, lte=False)
     sim._begin_tx(1, Cam(0, 0, 350), 256, lte=False)
     first, second = sim.active[0], sim.active[1]

@@ -12,6 +12,7 @@ from coexsim import engine as eng
 from coexsim.traffic import TrafficMode
 
 from conftest import small_engine_config
+from oracles import record_cca, record_selections
 
 SEED = 2026
 
@@ -32,3 +33,13 @@ def test_pinned_digest(mode, mix):
     base = small_engine_config(itsg5_fraction=mix)
     cfg = replace(base, traffic=replace(base.traffic, mode=mode))
     assert eng.run(cfg, seed=SEED).digest() == GOLDEN[(mode, mix)]
+
+
+def test_instruments_leave_the_digest_alone():
+    # Measuring must not change results: the test-side recorders only wrap
+    # methods of one instance, so the 50/50 run keeps its pinned digest.
+    sim = eng.Simulation(small_engine_config(itsg5_fraction=0.5), seed=SEED)
+    edges, starts = record_cca(sim)
+    selections = record_selections(sim)
+    assert sim.run().digest() == GOLDEN[(TrafficMode.STANDARD, 0.5)]
+    assert starts and any(edges.values()) and any(selections.values())

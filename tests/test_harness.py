@@ -1,12 +1,15 @@
 """Experiment harness: config file parsing, CLI overrides, seeding, CSV runs."""
 
 import io
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from coexsim.engine import EngineConfig
 from coexsim.harness import (
+    _KEYS,
     ConfigError,
     ExperimentConfig,
     apply_cli,
@@ -91,6 +94,24 @@ just a line
 def test_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "nope.cfg")
+
+
+def test_config_keys_reach_every_engine_field():
+    # A field no config key sets is a knob only tests can turn. The harness
+    # sets the three exempt fields itself, from `modes` and the PER-curve paths.
+    exempt = {"traffic.mode", "itsg5_per_curve", "ltev2x_per_curve"}
+    cfg = EngineConfig()
+    leaves = set()
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            leaves |= {f"{f.name}.{sub.name}" for sub in fields(value)}
+        else:
+            leaves.add(f.name)
+    reached = {name if target == "engine" else f"{target}.{name}"
+               for target, name, _ in _KEYS.values() if target != "experiment"}
+    assert leaves - exempt - reached == set()
+    assert reached <= leaves
 
 
 def test_validation_rejects_out_of_range_values():

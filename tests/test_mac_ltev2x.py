@@ -13,6 +13,7 @@ from coexsim.mac_ltev2x import (
 )
 
 from conftest import small_engine_config
+from oracles import SpsCounts
 
 NOISE_MW = 10 ** (-98.0 / 10.0)
 
@@ -105,6 +106,7 @@ def test_sensing_history_fallback_outside_window():
 
 def test_select_resource_window_and_bookkeeping():
     sched = make_scheduler()
+    counts = SpsCounts(sched)
     sel = sched.select_resource(250)
     assert 251 <= sel.chosen_tti <= 350
     assert sel.chosen_tti in sel.best_ttis
@@ -112,16 +114,7 @@ def test_select_resource_window_and_bookkeeping():
     assert sel.pool_ttis.size == 100
     assert sched.selected_offset == sel.chosen_tti % 100
     assert sched.next_tx_tti == sel.chosen_tti
-    assert sched.reselections == 1
-
-
-def test_select_resource_logs_when_enabled():
-    sched = make_scheduler()
-    sched.selection_log = []
-    sched.select_resource(0)
-    last = sched.select_resource(500)
-    assert len(sched.selection_log) == 2
-    assert sched.selection_log[-1] is last
+    assert counts.reselections == 1
 
 
 def test_high_rssi_candidate_is_never_picked():
@@ -193,15 +186,17 @@ def test_next_occurrence_is_strictly_future():
 
 def test_on_generation_initial_selection_and_counter():
     sched = make_scheduler(rng=StubRng(counters=[7]))
+    counts = SpsCounts(sched)
     tx = sched.on_generation(0)
     assert sched.selected_offset is not None
     assert 1 <= tx <= 100
     assert sched.counter == 7
-    assert sched.expiries == 0
+    assert counts.expiries == 0
 
 
 def test_on_generation_countdown_keeps_offset():
     sched = make_scheduler(rng=StubRng(counters=[3]))
+    counts = SpsCounts(sched)
     sched.on_generation(0)
     offset = sched.selected_offset
     t1 = sched.on_generation(100)
@@ -209,22 +204,23 @@ def test_on_generation_countdown_keeps_offset():
     assert sched.counter == 1
     assert t1 % 100 == offset and t2 % 100 == offset
     assert 101 <= t1 <= 200 and 201 <= t2 <= 300
-    assert sched.expiries == 0 and sched.reselections == 1
+    assert counts.expiries == 0 and counts.reselections == 1
 
 
 def test_counter_expiry_keep_and_reselect_paths():
     cfg = SpsConfig(counter_min=1, counter_max=1)  # expire every generation
     sched = make_scheduler(rng=StubRng(counters=[1, 1, 1], randoms=[0.4, 0.6]),
                            cfg=cfg)
+    counts = SpsCounts(sched)
     sched.on_generation(0)
     offset = sched.selected_offset
     sched.on_generation(100)  # keep draw 0.4 < 0.5
-    assert sched.expiries == 1
-    assert sched.reselections == 1
+    assert counts.expiries == 1
+    assert counts.reselections == 1
     assert sched.selected_offset == offset
     sched.on_generation(200)  # keep draw 0.6 >= 0.5: reselect
-    assert sched.expiries == 2
-    assert sched.reselections == 2
+    assert counts.expiries == 2
+    assert counts.reselections == 2
 
 
 def test_transmissions_repeat_on_selected_offset():
@@ -250,12 +246,13 @@ def test_selection_covers_most_offsets():
 
 def test_mean_generations_between_reselections():
     sched = make_scheduler(rng=np.random.default_rng(5))
+    counts = SpsCounts(sched)
     now = 0
     sched.on_generation(now)
     gens = 0
-    while sched.expiries < 1000:
+    while counts.expiries < 1000:
         now += 100
         sched.on_generation(now)
         gens += 1
-    mean = gens / (sched.reselections - 1)
+    mean = gens / (counts.reselections - 1)
     assert mean == pytest.approx(20.0, abs=2.0)
