@@ -1,9 +1,11 @@
 """Deterministic discrete-event core coupling traffic, MACs, channel and metrics.
 
-Time is integer microseconds. The event heap orders by (time, kind, sequence);
-the kind codes double as same-instant priorities: geometry updates first, then
-transmission ends (half-open busy intervals: at its end instant a signal is
-already gone), TTI boundary work, CAM generations, MAC timers, and run end.
+Time is integer microseconds and every action is an event on one heap,
+ordered by (time, kind, sequence); there is no 1 ms clock. The kind codes
+double as same-instant priorities: geometry updates first, then transmission
+ends (half-open busy intervals: at its end instant a signal is already gone),
+sidelink slots, CAM generations, MAC timers, and run end. Stale sidelink slots
+and MAC timers are dropped when they fire.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .traffic import Cam, CamSource, TrafficConfig
 
 EV_MOBILITY = 0
 EV_TXEND = 1
-EV_TTI = 2
+EV_SLOT = 2
 EV_CAM = 3
 EV_MACTIMER = 4
 EV_RUNEND = 5
@@ -154,7 +156,6 @@ class Simulation:
 
         if vehicles is None:
             vehicles = spawn(config.road, config.itsg5_fraction, self.rng["placement"])
-        self.vehicles = vehicles
         n = len(vehicles)
         self.n = n
         self.pos = np.array([v.pos_m for v in vehicles])
@@ -200,7 +201,6 @@ class Simulation:
                         for v in vehicles]
 
         self.lte_pending: dict[int, Cam] = {}
-        self.lte_sched: dict[int, list[tuple[int, int]]] = {}
 
         self.hist = PrrHistogram(config.bin_width_m, config.max_distance_m)
         self.counters = {
@@ -214,12 +214,7 @@ class Simulation:
         self.warmup_us = round(config.warm_up_s * 1e6)
         self._seq = count()
         self.heap: list = []
-        self._rssi_acc = np.zeros(n)
-        self._blind_now = np.zeros(n, dtype=bool)
-        self._cur_tti = 0
-        self._last_int_us = 0
 
-        self._push(0, EV_TTI, 0)
         self._push(config.mobility_update_ms * 1000, EV_MOBILITY, None)
         for i, src in enumerate(self.sources):
             self._push(src.next_time_us, EV_CAM, i)
@@ -249,15 +244,6 @@ class Simulation:
         np.fill_diagonal(rx_mw, 0.0)
         self.rx_mw = rx_mw
 
-    def _integrate_rssi(self, t_us: int) -> None:
-        if t_us <= self._last_int_us:
-            return
-        occ_end = self._cur_tti * TTI_US + OCCUPIED_US
-        hi = min(t_us, occ_end)
-        if hi > self._last_int_us:
-            self._rssi_acc += self.power_mw * (hi - self._last_int_us)
-        self._last_int_us = t_us
-
     def _update_busy(self, t_us: int) -> None:
         if self.g5_ids.size == 0:
             return  # only CSMA MACs read the CCA state
@@ -279,7 +265,7 @@ class Simulation:
     def _begin_tx(self, node: int, cam: Cam, t_us: int, lte: bool) -> None:
         if node in self.active:
             raise RuntimeError(f"node {node} is already transmitting")
-        self._integrate_rssi(t_us)
+        self.history.advance(t_us, self.power_mw)
         dur = OCCUPIED_US if lte else airtime_us(cam.payload_bytes, self.cfg.csma)
         rec = TxRec(node, lte, cam, t_us, t_us + dur,
                     self.rx_mw[node], self.dist[node], self.n)
@@ -293,13 +279,13 @@ class Simulation:
         self._update_busy(t_us)
         self._push(rec.end_us, EV_TXEND, rec)
         if lte:
-            self._blind_now[node] = True
+            self.history.blind_now[node] = True
             self.counters["tx_ltev2x"] += 1
         else:
             self.counters["tx_itsg5"] += 1
 
     def _end_tx(self, rec: TxRec, t_us: int) -> None:
-        self._integrate_rssi(t_us)
+        self.history.advance(t_us, self.power_mw)
         del self.active[rec.tx]
         count_at_lte = self.cfg.lte_rx_counts_itsg5_interference
         for other in self.active.values():
@@ -351,26 +337,13 @@ class Simulation:
         self.counters["rx_success"] += int(success.sum())
         self.counters["rx_halfduplex"] += int(halfdup.sum())
 
-    def _on_tti(self, tti: int, t_us: int) -> None:
-        self._integrate_rssi(t_us)
-        if tti > 0:
-            avg_mw = self._rssi_acc / OCCUPIED_US + self.noise_mw
-            self.history.finalize(tti - 1, avg_mw, self._blind_now.copy())
-        self._rssi_acc.fill(0.0)
-        self._blind_now.fill(False)
-        self._cur_tti = tti
-        self._last_int_us = t_us
-
-        for node, seq in self.lte_sched.pop(tti, ()):
-            cam = self.lte_pending.get(node)
-            if cam is None or cam.seq != seq:
-                self.counters["lte_silent_periods"] += 1
-                continue
-            del self.lte_pending[node]
-            self._begin_tx(node, cam, t_us, lte=True)
-
-        if (tti + 1) * TTI_US <= self.end_us:
-            self._push((tti + 1) * TTI_US, EV_TTI, tti + 1)
+    def _on_slot(self, node: int, seq: int, t_us: int) -> None:
+        cam = self.lte_pending.get(node)
+        if cam is None or cam.seq != seq:
+            self.counters["lte_silent_periods"] += 1
+            return
+        del self.lte_pending[node]
+        self._begin_tx(node, cam, t_us, lte=True)
 
     def _on_cam(self, node: int, t_us: int) -> None:
         src = self.sources[node]
@@ -382,12 +355,14 @@ class Simulation:
         if mac is not None:
             mac.on_packet_ready(cam, t_us)
             return
-        sched = self.sps[node]
-        tx_tti = sched.on_generation(t_us // TTI_US)
+        # Selection reads only the TTIs that have ended; integrating into the
+        # open TTI here would split its segments and change their float sum.
+        self.history.advance(t_us - t_us % TTI_US, self.power_mw)
+        tx_tti = self.sps[node].on_generation(t_us // TTI_US)
         if node in self.lte_pending:
             self.counters["cams_dropped"] += 1
         self.lte_pending[node] = cam
-        self.lte_sched.setdefault(tx_tti, []).append((node, cam.seq))
+        self._push(tx_tti * TTI_US, EV_SLOT, (node, cam.seq))
 
     def _on_mobility(self, t_us: int) -> None:
         cfg = self.cfg
@@ -419,8 +394,8 @@ class Simulation:
                     mac.on_timer(t, token)
             elif kind == EV_CAM:
                 self._on_cam(payload, t)
-            elif kind == EV_TTI:
-                self._on_tti(payload, t)
+            elif kind == EV_SLOT:
+                self._on_slot(*payload, t)
             elif kind == EV_MOBILITY:
                 self._on_mobility(t)
         drops = sum(m.drops for m in self.macs if m is not None)

@@ -48,6 +48,8 @@ class SensingHistory:
     Rows are a ring buffer keyed by tti % window. Unwritten or not yet
     finalized TTIs read back as the noise floor and non-blind, which doubles
     as the cold-start prior. Blind rows mark TTIs the node spent transmitting.
+    The open TTI fills in as time advances: its power is integrated over the
+    occupied symbols, and a node that starts transmitting sets blind_now.
 
     The decoded reservations of all nodes share one table indexed
     [receiver, transmitter]: the announced offset (-1 for none) and the TTI
@@ -60,8 +62,30 @@ class SensingHistory:
         self.rssi_mw = np.full((window_ttis, n_nodes), noise_mw)
         self.blind = np.zeros((window_ttis, n_nodes), dtype=bool)
         self.last_finalized_tti = -1
+        self.blind_now = np.zeros(n_nodes, dtype=bool)
+        self._acc_mw_us = np.zeros(n_nodes)
+        self._t_us = 0
         self.resv_offset = np.full((n_nodes, n_nodes), -1)
         self.resv_seen = np.zeros((n_nodes, n_nodes), dtype=int)
+
+    def advance(self, t_us: int, power_mw: np.ndarray) -> None:
+        """Integrate power_mw, constant since the last call, up to t_us and
+        finalize every TTI that has ended by then."""
+        if t_us <= self._t_us:
+            return
+        while True:
+            tti = self.last_finalized_tti + 1
+            start = tti * TTI_US
+            hi = min(t_us, start + OCCUPIED_US)
+            if hi > self._t_us:
+                self._acc_mw_us += power_mw * (hi - self._t_us)
+            if t_us < start + TTI_US:
+                break
+            self.finalize(tti, self._acc_mw_us / OCCUPIED_US + self.noise_mw, self.blind_now)
+            self._acc_mw_us.fill(0.0)
+            self.blind_now.fill(False)
+            self._t_us = start + TTI_US
+        self._t_us = t_us
 
     def finalize(self, tti: int, avg_mw: np.ndarray, blind: np.ndarray) -> None:
         row = tti % self.window
@@ -105,7 +129,6 @@ class SpsScheduler:
         self.rng = rng
         self.selected_offset: int | None = None
         self.counter = 0
-        self.next_tx_tti: int | None = None
 
     def _draw_counter(self) -> int:
         return int(self.rng.integers(self.cfg.counter_min, self.cfg.counter_max + 1))
@@ -159,26 +182,23 @@ class SpsScheduler:
         chosen = int(best[self.rng.integers(best_n)])
 
         self.selected_offset = chosen % period
-        self.next_tx_tti = chosen
         return SelectionResult(chosen, np.sort(best), pool)
 
     def on_generation(self, now_tti: int) -> int:
         """Advance the SPS counter at a CAM generation; returns the TTI that
         will carry this packet."""
         if self.selected_offset is None:
-            self.select_resource(now_tti)
-            self.counter = self._draw_counter()
+            tx_tti = self.select_resource(now_tti).chosen_tti
         else:
             self.counter -= 1
-            if self.counter <= 0:
-                if self.rng.random() < self.cfg.keep_probability:
-                    self.next_tx_tti = self._next_occurrence(now_tti)
-                else:
-                    self.select_resource(now_tti)
-                self.counter = self._draw_counter()
+            if self.counter > 0:
+                return self._next_occurrence(now_tti)
+            if self.rng.random() < self.cfg.keep_probability:
+                tx_tti = self._next_occurrence(now_tti)
             else:
-                self.next_tx_tti = self._next_occurrence(now_tti)
-        return self.next_tx_tti
+                tx_tti = self.select_resource(now_tti).chosen_tti
+        self.counter = self._draw_counter()
+        return tx_tti
 
     def note_decode(self, receivers: np.ndarray, offset: int, now_tti: int) -> None:
         """Record this node's reservation at every receiver that decoded its

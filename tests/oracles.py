@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from coexsim.engine import Simulation
+from coexsim.engine import EV_SLOT, Simulation
+from coexsim.mac_ltev2x import TTI_US
 from coexsim.results import CSV_HEADER
 from coexsim.scenario import RoadConfig, Vehicle
 from coexsim.traffic import Cam
@@ -137,17 +138,22 @@ class SpsCounts:
 class ContinuousLte(Simulation):
     """Saturation driver: every LTE node transmits in every TTI, bypassing SPS.
 
-    LTE nodes generate no CAMs. At each TTI every LTE node, in ascending id
-    order, gets a fresh CAM scheduled for that TTI, which the engine's own
-    TTI work then puts on air. ITS-G5 nodes run as usual.
+    LTE nodes generate no CAMs. Each LTE node gets a sidelink slot in every
+    TTI, from 0 us on and in ascending id order at each instant; the slot
+    brings a fresh CAM, which the engine's own slot handling puts on air, and
+    schedules the node's next slot. ITS-G5 nodes run as usual.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        for i in self.lte_ids:
+            self._push(0, EV_SLOT, (int(i), 0))
 
     def _on_cam(self, node: int, t_us: int) -> None:
         if not self.is_lte[node]:
             super()._on_cam(node, t_us)
 
-    def _on_tti(self, tti: int, t_us: int) -> None:
-        for i in self.lte_ids:
-            self.lte_pending[int(i)] = Cam(tti, t_us, self.cfg.traffic.payload_bytes)
-            self.lte_sched.setdefault(tti, []).append((int(i), tti))
-        super()._on_tti(tti, t_us)
+    def _on_slot(self, node: int, seq: int, t_us: int) -> None:
+        self.lte_pending[node] = Cam(seq, t_us, self.cfg.traffic.payload_bytes)
+        super()._on_slot(node, seq, t_us)
+        self._push(t_us + TTI_US, EV_SLOT, (node, seq + 1))

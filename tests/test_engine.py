@@ -27,7 +27,7 @@ def two_vehicles(d_m=100.0, techs=(Tech.ITSG5, Tech.ITSG5)):
 
 
 def test_event_kind_ordering():
-    assert (eng.EV_MOBILITY < eng.EV_TXEND < eng.EV_TTI < eng.EV_CAM
+    assert (eng.EV_MOBILITY < eng.EV_TXEND < eng.EV_SLOT < eng.EV_CAM
             < eng.EV_MACTIMER < eng.EV_RUNEND)
 
 
@@ -170,8 +170,10 @@ def test_second_start_of_an_active_transmitter_is_an_error():
 
 def test_event_in_the_past_is_an_error():
     sim = Simulation(small_engine_config(), seed=1)
-    sim.now = 2000  # past the first TTI tick, pushed at 0 us
-    with pytest.raises(RuntimeError, match="event at 0 us processed after 2000 us"):
+    first_us = sim.heap[0][0]  # the earliest pending event
+    sim.now = first_us + 1
+    with pytest.raises(RuntimeError,
+                       match=f"event at {first_us} us processed after {first_us + 1} us"):
         sim.run()
 
 
@@ -312,6 +314,21 @@ def test_sensed_rssi_averages_burst_over_occupied_symbols():
             10 * np.log10(expected), abs=0.05)
         checked += 1
     assert checked > 0
+
+
+def test_selection_sees_every_ended_tti_and_no_open_one():
+    # TTIs close lazily as time advances; each SPS selection must still read
+    # a history finalized exactly up to the TTI before its own.
+    sim = Simulation(small_engine_config(itsg5_fraction=0.5), seed=4)
+    seen = []
+    for sched in sim.sps.values():
+        def spy(now_tti, select=sched.select_resource):
+            seen.append((now_tti, sim.history.last_finalized_tti))
+            return select(now_tti)
+        sched.select_resource = spy
+    sim.run()
+    assert len(seen) > len(sim.sps)
+    assert all(last == now_tti - 1 for now_tti, last in seen)
 
 
 def test_noise_only_ttis_sense_the_noise_floor():

@@ -9,10 +9,11 @@ from dataclasses import replace
 import pytest
 
 from coexsim import engine as eng
+from coexsim.mac_itsg5 import CsmaConfig
 from coexsim.traffic import TrafficMode
 
 from conftest import small_engine_config
-from oracles import record_cca, record_selections
+from oracles import ContinuousLte, record_cca, record_selections
 
 SEED = 2026
 
@@ -28,11 +29,38 @@ GOLDEN = {
 }
 
 
+# 50/50 runs down the branches the pinned mixes leave out: sidelink decoding
+# blind to ITS-G5 energy, CSMA without preamble detection, and saturated LTE.
+BRANCHES = {
+    "lte_ignores_itsg5":
+        "5c2690b285dd71f0915eec57f65ed5f8184db9e657b40eacb268b5a986b57375",
+    "energy_only_cca":
+        "bc0e4086b9e5dee65cd7b11caa86d0e7e38a116d84e289d9bed63ebe2a6f83c3",
+    "continuous_lte":
+        "20bb547ecc4774afaa45a02d0f74864156ee6ee61ec315961e0619f5c6937e42",
+}
+
+
+def _branch_sim(name):
+    if name == "lte_ignores_itsg5":
+        cfg = small_engine_config(lte_rx_counts_itsg5_interference=False)
+    elif name == "energy_only_cca":
+        cfg = small_engine_config(csma=CsmaConfig(preamble_threshold_dbm=None))
+    else:
+        return ContinuousLte(small_engine_config(), seed=SEED)
+    return eng.Simulation(cfg, seed=SEED)
+
+
 @pytest.mark.parametrize("mode,mix", list(GOLDEN), ids=lambda v: str(getattr(v, "value", v)))
 def test_pinned_digest(mode, mix):
     base = small_engine_config(itsg5_fraction=mix)
     cfg = replace(base, traffic=replace(base.traffic, mode=mode))
     assert eng.run(cfg, seed=SEED).digest() == GOLDEN[(mode, mix)]
+
+
+@pytest.mark.parametrize("name", list(BRANCHES))
+def test_pinned_branch_digest(name):
+    assert _branch_sim(name).run().digest() == BRANCHES[name]
 
 
 def test_instruments_leave_the_digest_alone():

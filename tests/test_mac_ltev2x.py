@@ -113,7 +113,7 @@ def test_select_resource_window_and_bookkeeping():
     assert sel.best_ttis.size == 20
     assert sel.pool_ttis.size == 100
     assert sched.selected_offset == sel.chosen_tti % 100
-    assert sched.next_tx_tti == sel.chosen_tti
+    assert sched._next_occurrence(250) == sel.chosen_tti
     assert counts.reselections == 1
 
 
