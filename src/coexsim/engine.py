@@ -186,6 +186,9 @@ class Simulation:
         # per node: how many on-air same-technology frames are preamble-detectable
         self._preamble_count = np.zeros(n, dtype=int)
         self.active: dict[int, TxRec] = {}
+        # Written by each CsmaMac as its phase changes; LTE entries stay False.
+        self.want_busy = np.zeros(n, dtype=bool)
+        self.want_idle = np.zeros(n, dtype=bool)
 
         self.macs: list[CsmaMac | None] = [
             CsmaMac(i, config.csma, self.rng["backoff"], self)
@@ -249,23 +252,23 @@ class Simulation:
             return  # only CSMA MACs read the CCA state
         busy_new = cca_busy(self.power_mw, self.noise_mw, self.cca_mw,
                             self._preamble_count)
-        changed = np.nonzero(busy_new != self.busy)[0]
-        if changed.size == 0:
-            return
+        changed = busy_new != self.busy
         self.busy = busy_new
-        for i in changed:
-            mac = self.macs[i]
-            if mac is None:
-                continue
+        # An edge reaches only the MACs whose phase acts on it, in ascending
+        # node order, so the backoff draws come in the same order as if every
+        # MAC heard every edge.
+        acting = changed & np.where(busy_new, self.want_busy, self.want_idle)
+        for i in np.nonzero(acting)[0].tolist():
             if busy_new[i]:
-                mac.on_busy(t_us)
+                self.macs[i].on_busy(t_us)
             else:
-                mac.on_idle(t_us)
+                self.macs[i].on_idle(t_us)
 
     def _begin_tx(self, node: int, cam: Cam, t_us: int, lte: bool) -> None:
         if node in self.active:
             raise RuntimeError(f"node {node} is already transmitting")
-        self.history.advance(t_us, self.power_mw)
+        if self.sps:  # only SPS schedulers read the sensing history
+            self.history.advance(t_us, self.power_mw)
         dur = OCCUPIED_US if lte else airtime_us(cam.payload_bytes, self.cfg.csma)
         rec = TxRec(node, lte, cam, t_us, t_us + dur,
                     self.rx_mw[node], self.dist[node], self.n)
@@ -285,7 +288,8 @@ class Simulation:
             self.counters["tx_itsg5"] += 1
 
     def _end_tx(self, rec: TxRec, t_us: int) -> None:
-        self.history.advance(t_us, self.power_mw)
+        if self.sps:
+            self.history.advance(t_us, self.power_mw)
         del self.active[rec.tx]
         count_at_lte = self.cfg.lte_rx_counts_itsg5_interference
         for other in self.active.values():

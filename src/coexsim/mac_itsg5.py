@@ -85,8 +85,11 @@ class CsmaMac:
     """Per-vehicle CSMA/CA state machine, advanced by CCA transitions and timers.
 
     The airlink object supplies `is_busy(node)`, `arm_timer(node, due_us, token)`
-    and `start_tx(node, cam, now_us)`. Timers are cancelled lazily: each arm
-    gets a fresh token and stale fires are ignored.
+    and `start_tx(node, cam, now_us)`, plus two bool arrays indexed by node
+    that the MAC keeps equal to its phase: `want_busy` (AIFS or COUNT, the
+    phases a busy edge acts on) and `want_idle` (DEFER, the one phase an idle
+    edge acts on). Timers are cancelled lazily: each arm gets a fresh token and
+    stale fires are ignored.
 
     Access procedure: a fresh packet on an idle channel transmits after a full
     AIFS of continuous idle sensing, with no backoff. If the channel is or
@@ -109,6 +112,16 @@ class CsmaMac:
         self._count_start_us = 0
         self._timer_due_us: int | None = None
         self._token = 0
+
+    @property
+    def phase(self) -> Phase:
+        return self._phase
+
+    @phase.setter
+    def phase(self, phase: Phase) -> None:
+        self._phase = phase
+        self.airlink.want_busy[self.node] = phase is Phase.AIFS or phase is Phase.COUNT
+        self.airlink.want_idle[self.node] = phase is Phase.DEFER
 
     def _arm(self, due_us: int) -> None:
         self._token += 1

@@ -5,8 +5,9 @@ form, written the obvious way, so tests can assert that the two agree.
 
 The instruments observe a Simulation from outside: each wraps methods of one
 instance and records what passes through before the run starts, so the
-package carries no recording flags of its own. ContinuousLte is a saturation
-driver written as a Simulation subclass.
+package carries no recording flags of its own. AllCcaEdges (the reference
+CCA dispatch) and ContinuousLte (a saturation driver) are Simulation
+subclasses.
 """
 
 import csv
@@ -15,6 +16,7 @@ import math
 import numpy as np
 
 from coexsim.engine import EV_SLOT, Simulation
+from coexsim.mac_itsg5 import cca_busy
 from coexsim.mac_ltev2x import TTI_US
 from coexsim.results import CSV_HEADER
 from coexsim.scenario import RoadConfig, Vehicle
@@ -58,13 +60,6 @@ def read_csv(path) -> list[dict]:
     return rows
 
 
-def _logged(callback, edges: list, busy: bool):
-    def wrapper(now_us):
-        edges.append((now_us, busy))
-        callback(now_us)
-    return wrapper
-
-
 def _kept(select, results: list):
     def wrapper(now_tti):
         result = select(now_tti)
@@ -77,16 +72,22 @@ def record_cca(sim: Simulation) -> tuple[dict[int, list[tuple[int, bool]]],
                                          list[tuple[int, int]]]:
     """Record every CCA edge of each ITS-G5 node and every CSMA transmission.
 
-    Returns (edges, starts): edges[node] lists (t_us, busy) in the order the
-    engine reports the edges to the node's MAC, and starts lists (t_us, node)
-    for each frame a CSMA MAC puts on air. Both fill in as the run proceeds.
+    Returns (edges, starts): edges[node] lists (t_us, busy) for each change of
+    the node's sensed channel state, read from the engine's CCA vector whether
+    or not the node's MAC is told, and starts lists (t_us, node) for each
+    frame a CSMA MAC puts on air. Both fill in as the run proceeds.
     """
-    edges = {}
-    for mac in sim.macs:
-        if mac is not None:
-            edges[mac.node] = log = []
-            mac.on_busy = _logged(mac.on_busy, log, True)
-            mac.on_idle = _logged(mac.on_idle, log, False)
+    edges = {int(i): [] for i in sim.g5_ids}
+    update_busy = sim._update_busy
+
+    def cca_spy(t_us):
+        before = sim.busy.copy()
+        update_busy(t_us)
+        for i in np.flatnonzero(sim.busy != before).tolist():
+            if i in edges:
+                edges[i].append((t_us, bool(sim.busy[i])))
+
+    sim._update_busy = cca_spy
     starts = []
     start_tx = sim.start_tx
 
@@ -133,6 +134,25 @@ class SpsCounts:
     @property
     def expiries(self) -> int:
         return self.draws - 1
+
+
+class AllCcaEdges(Simulation):
+    """Reference dispatch: every CCA edge goes to every ITS-G5 MAC, in
+    ascending node order, and each MAC decides for itself whether it acts."""
+
+    def _update_busy(self, t_us: int) -> None:
+        busy_new = cca_busy(self.power_mw, self.noise_mw, self.cca_mw,
+                            self._preamble_count)
+        changed = np.nonzero(busy_new != self.busy)[0]
+        self.busy = busy_new
+        for i in changed:
+            mac = self.macs[i]
+            if mac is None:
+                continue
+            if busy_new[i]:
+                mac.on_busy(t_us)
+            else:
+                mac.on_idle(t_us)
 
 
 class ContinuousLte(Simulation):

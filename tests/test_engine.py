@@ -1,5 +1,8 @@
 """Event engine integration: determinism, accounting, sensing, reception."""
 
+import heapq
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,13 +11,13 @@ from hypothesis import strategies as st
 from coexsim import engine as eng
 from coexsim.channel import ShadowingConfig, path_loss_db, rx_power_mw
 from coexsim.engine import Simulation
-from coexsim.mac_itsg5 import CsmaConfig, airtime_us
+from coexsim.mac_itsg5 import CsmaConfig, Phase, airtime_us
 from coexsim.mac_ltev2x import OCCUPIED_US, TTI_US, SpsConfig
 from coexsim.scenario import Direction, RoadConfig, Tech, Vehicle
 from coexsim.traffic import Cam, TrafficConfig, TrafficMode
 
 from conftest import small_engine_config
-from oracles import ContinuousLte, record_cca
+from oracles import AllCcaEdges, ContinuousLte, record_cca
 
 NO_SHADOW = ShadowingConfig(sigma_db=0.0)
 
@@ -288,6 +291,55 @@ def test_energy_only_sensing_ignores_sub_threshold_preambles():
     sim = Simulation(cfg, seed=1, vehicles=vehicles)
     sim._begin_tx(0, Cam(0, 0, 350), 0, lte=False)
     assert not sim.busy[1]  # -71 dBm is below the energy gate
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(itsg5_fraction=1.0),
+    dict(itsg5_fraction=0.5),
+    dict(itsg5_fraction=0.5, csma=CsmaConfig(preamble_threshold_dbm=None)),
+], ids=["itsg5_only", "half", "energy_only_cca"])
+def test_filtered_cca_dispatch_matches_every_mac_hearing_every_edge(overrides):
+    # Twice the usual density: several deferring MACs then share one idle
+    # edge, so dispatching them out of node order would move backoff draws.
+    cfg = small_engine_config(road=RoadConfig(length_m=500.0, density_veh_per_km=80.0),
+                              **overrides)
+    log = Simulation(cfg, seed=5).run()
+    assert log.counters["tx_itsg5"] > 0
+    assert log.digest() == AllCcaEdges(cfg, seed=5).run().digest()
+
+
+def test_cca_masks_follow_mac_phases(monkeypatch):
+    sim = Simulation(small_engine_config(itsg5_fraction=0.5), seed=5)
+    g5, lte = sim.g5_ids, sim.lte_ids
+    seen = set()
+
+    def checked_heappop(heap):
+        # Called before each event, so it sees the state after the last one.
+        phases = [sim.macs[i].phase for i in g5]
+        seen.update(phases)
+        assert sim.want_busy[g5].tolist() == [p in (Phase.AIFS, Phase.COUNT)
+                                              for p in phases]
+        assert sim.want_idle[g5].tolist() == [p is Phase.DEFER for p in phases]
+        assert not sim.want_busy[lte].any() and not sim.want_idle[lte].any()
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(eng, "heapq", SimpleNamespace(heappush=heapq.heappush,
+                                                       heappop=checked_heappop))
+    sim.run()
+    assert lte.size > 0 and seen == set(Phase)
+
+
+def test_all_itsg5_run_keeps_no_sensing_history():
+    sim = Simulation(small_engine_config(itsg5_fraction=1.0), seed=5)
+    calls = []
+    for name in ("advance", "finalize"):
+        def spy(*args, name=name, method=getattr(sim.history, name)):
+            calls.append(name)
+            return method(*args)
+        setattr(sim.history, name, spy)
+    log = sim.run()
+    assert log.counters["tx_itsg5"] > 0
+    assert calls == []
 
 
 def test_sensed_rssi_averages_burst_over_occupied_symbols():
