@@ -77,7 +77,8 @@ class EngineConfig:
         errors += self.road.validate()
         errors += self.link.validate()
         errors += self.shadowing.validate()
-        timing_errors = self.traffic.validate() + self.csma.validate()
+        traffic_errors = self.traffic.validate()
+        timing_errors = traffic_errors + self.csma.validate()
         errors += timing_errors
         errors += self.sps.validate()
         if not 0.0 <= self.itsg5_fraction <= 1.0:
@@ -92,11 +93,14 @@ class EngineConfig:
             errors.append("max_distance_m must be > 0")
         if self.bin_width_m <= 0:
             errors.append("bin_width_m must be > 0")
-        # SPS repeats its reservation once per selection window; a beacon
-        # period of another length leaves CAMs waiting on a stale resource.
-        period_us = round(self.traffic.base_period_ms * 1000)
-        if self.sps.selection_window_ttis * TTI_US != period_us:
-            errors.append("selection_window_ttis must span exactly base_period_ms")
+        # The SPS selection window is one beacon period of whole TTIs, and
+        # the sensing history holds whole periods of lags.
+        if not traffic_errors:
+            period_ttis, rest_us = divmod(round(self.traffic.base_period_ms * 1000), TTI_US)
+            if rest_us or period_ttis < 1:
+                errors.append("base_period_ms must be a whole number of 1 ms TTIs")
+            elif self.sps.sensing_window_ttis % period_ttis:
+                errors.append("base_period_ms must divide sensing_window_ttis")
         # An ITS-G5 frame must end before the station's next CAM; the shortest
         # period a station can draw is base_period_ms - itsg5_jitter_ms.
         shortest_us = (self.traffic.base_period_ms - self.traffic.itsg5_jitter_ms) * 1000
@@ -169,6 +173,7 @@ class Simulation:
         self.noise_mw = 10.0 ** (self.noise_dbm / 10.0)
         self.relevance_mw = 10.0 ** ((self.noise_dbm - config.relevance_margin_db) / 10.0)
         self.cca_mw = 10.0 ** (config.csma.cca_threshold_dbm / 10.0)
+        self.g5_airtime_us = airtime_us(config.traffic.payload_bytes, config.csma)
         pre = config.csma.preamble_threshold_dbm
         self.preamble_mw = None if pre is None else 10.0 ** (pre / 10.0)
         self.decode_mw = 10.0 ** (config.sps.decode_threshold_dbm / 10.0)
@@ -195,11 +200,12 @@ class Simulation:
             if v.tech is Tech.ITSG5 else None
             for i, v in enumerate(vehicles)
         ]
-        self.history = SensingHistory(n, self.noise_mw, config.sps.sensing_window_ttis)
-        self.sps: dict[int, SpsScheduler] = {
-            int(i): SpsScheduler(int(i), config.sps, self.history, self.rng["sps"])
-            for i in self.lte_ids
-        }
+        self.history: SensingHistory | None = None
+        self.sps: SpsScheduler | None = None
+        if self.lte_ids.size:
+            self.history = SensingHistory(n, self.noise_mw, config.sps.sensing_window_ttis)
+            period_ttis = round(config.traffic.base_period_ms * 1000) // TTI_US
+            self.sps = SpsScheduler(n, period_ttis, config.sps, self.history, self.rng["sps"])
         self.sources = [CamSource(v.tech, config.traffic, self.rng["traffic"])
                         for v in vehicles]
 
@@ -267,9 +273,9 @@ class Simulation:
     def _begin_tx(self, node: int, cam: Cam, t_us: int, lte: bool) -> None:
         if node in self.active:
             raise RuntimeError(f"node {node} is already transmitting")
-        if self.sps:  # only SPS schedulers read the sensing history
+        if self.history is not None:
             self.history.advance(t_us, self.power_mw)
-        dur = OCCUPIED_US if lte else airtime_us(cam.payload_bytes, self.cfg.csma)
+        dur = OCCUPIED_US if lte else self.g5_airtime_us
         rec = TxRec(node, lte, cam, t_us, t_us + dur,
                     self.rx_mw[node], self.dist[node], self.n)
         for other in self.active.values():
@@ -288,7 +294,7 @@ class Simulation:
             self.counters["tx_itsg5"] += 1
 
     def _end_tx(self, rec: TxRec, t_us: int) -> None:
-        if self.sps:
+        if self.history is not None:
             self.history.advance(t_us, self.power_mw)
         del self.active[rec.tx]
         count_at_lte = self.cfg.lte_rx_counts_itsg5_interference
@@ -316,10 +322,10 @@ class Simulation:
 
     def _deliver(self, rec: TxRec, t_us: int) -> None:
         if rec.lte:
-            offset = (rec.start_us // TTI_US) % self.cfg.sps.selection_window_ttis
+            offset = (rec.start_us // TTI_US) % self.sps.period
             cand = self.lte_ids[(rec.rx_mw[self.lte_ids] >= self.decode_mw)
                                 & ~rec.halfdup[self.lte_ids]]
-            self.sps[rec.tx].note_decode(cand, offset, t_us // TTI_US)
+            self.sps.note_decode(rec.tx, cand, offset, t_us // TTI_US)
 
         if rec.cam.t_gen_us < self.warmup_us:
             return
@@ -362,7 +368,7 @@ class Simulation:
         # Selection reads only the TTIs that have ended; integrating into the
         # open TTI here would split its segments and change their float sum.
         self.history.advance(t_us - t_us % TTI_US, self.power_mw)
-        tx_tti = self.sps[node].on_generation(t_us // TTI_US)
+        tx_tti = self.sps.on_generation(node, t_us // TTI_US)
         if node in self.lte_pending:
             self.counters["cams_dropped"] += 1
         self.lte_pending[node] = cam

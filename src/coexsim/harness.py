@@ -137,11 +137,9 @@ _KEYS = {
     "reselection_counter_min": ("sps", "counter_min", int),
     "reselection_counter_max": ("sps", "counter_max", int),
     "sensing_window_ttis": ("sps", "sensing_window_ttis", int),
-    "selection_window_ttis": ("sps", "selection_window_ttis", int),
     "best_fraction": ("sps", "best_fraction", float),
     "decode_threshold_dbm": ("sps", "decode_threshold_dbm", float),
     "reservation_expiry_ttis": ("sps", "reservation_expiry_ttis", int),
-    "itsg5_fraction": ("engine", "itsg5_fraction", float),
     "warm_up_s": ("engine", "warm_up_s", float),
     "measure_s": ("engine", "measure_s", float),
     "mobility_update_ms": ("engine", "mobility_update_ms", int),

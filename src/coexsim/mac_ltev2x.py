@@ -18,7 +18,6 @@ class SpsConfig:
     counter_min: int = 5
     counter_max: int = 15
     sensing_window_ttis: int = 1000
-    selection_window_ttis: int = 100
     best_fraction: float = 0.2
     decode_threshold_dbm: float = -110.0
     reservation_expiry_ttis: int = 1000
@@ -29,12 +28,8 @@ class SpsConfig:
             errors.append("keep_probability must be in [0,1]")
         if not 1 <= self.counter_min <= self.counter_max:
             errors.append("reselection counter range must satisfy 1 <= min <= max")
-        if self.selection_window_ttis < 1:
-            errors.append("selection_window_ttis must be >= 1")
-        elif self.sensing_window_ttis < self.selection_window_ttis:
-            errors.append("sensing_window_ttis must cover the selection window")
-        elif self.sensing_window_ttis % self.selection_window_ttis:
-            errors.append("sensing_window_ttis must be a multiple of selection_window_ttis")
+        if self.sensing_window_ttis < 1:
+            errors.append("sensing_window_ttis must be >= 1")
         if not 0.0 < self.best_fraction <= 1.0:
             errors.append("best_fraction must be in (0,1]")
         if self.reservation_expiry_ttis < 1:
@@ -50,10 +45,6 @@ class SensingHistory:
     as the cold-start prior. Blind rows mark TTIs the node spent transmitting.
     The open TTI fills in as time advances: its power is integrated over the
     occupied symbols, and a node that starts transmitting sets blind_now.
-
-    The decoded reservations of all nodes share one table indexed
-    [receiver, transmitter]: the announced offset (-1 for none) and the TTI
-    it was last decoded.
     """
 
     def __init__(self, n_nodes: int, noise_mw: float, window_ttis: int = 1000):
@@ -65,8 +56,6 @@ class SensingHistory:
         self.blind_now = np.zeros(n_nodes, dtype=bool)
         self._acc_mw_us = np.zeros(n_nodes)
         self._t_us = 0
-        self.resv_offset = np.full((n_nodes, n_nodes), -1)
-        self.resv_seen = np.zeros((n_nodes, n_nodes), dtype=int)
 
     def advance(self, t_us: int, power_mw: np.ndarray) -> None:
         """Integrate power_mw, constant since the last call, up to t_us and
@@ -113,41 +102,46 @@ class SelectionResult:
 
 
 class SpsScheduler:
-    """Semi-persistent scheduling state machine for one LTE node.
+    """Semi-persistent scheduling state of every LTE node in a run.
 
-    A resource is one whole TTI; the selected offset repeats every
-    selection-window (100 TTIs = one beacon period). The reselection counter
-    decrements at each CAM generation; on expiry the offset is kept with the
-    keep probability, otherwise reselected from the sensed best candidates.
+    A resource is one whole TTI; a node's selected offset repeats every
+    period, one beacon period of TTIs. Its reselection counter decrements at
+    each CAM generation; on expiry the offset is kept with the keep
+    probability, otherwise reselected from the sensed best candidates.
+
+    Per node: the offset (-1 before the first selection) and the counter.
+    Decoded reservations share one table indexed [receiver, transmitter]: the
+    announced offset (-1 for none) and the TTI it was last decoded.
     """
 
-    def __init__(self, node_id: int, cfg: SpsConfig, history: SensingHistory,
-                 rng: np.random.Generator):
-        self.node = node_id
+    def __init__(self, n_nodes: int, period_ttis: int, cfg: SpsConfig,
+                 history: SensingHistory, rng: np.random.Generator):
+        self.period = period_ttis
         self.cfg = cfg
         self.history = history
         self.rng = rng
-        self.selected_offset: int | None = None
-        self.counter = 0
+        self.offset = np.full(n_nodes, -1)
+        self.counter = np.zeros(n_nodes, dtype=int)
+        self.resv_offset = np.full((n_nodes, n_nodes), -1)
+        self.resv_seen = np.zeros((n_nodes, n_nodes), dtype=int)
 
     def _draw_counter(self) -> int:
         return int(self.rng.integers(self.cfg.counter_min, self.cfg.counter_max + 1))
 
-    def _next_occurrence(self, now_tti: int) -> int:
-        """Smallest TTI strictly after now matching the selected offset."""
-        period = self.cfg.selection_window_ttis
-        return now_tti + 1 + (self.selected_offset - now_tti - 1) % period
+    def _next_occurrence(self, node: int, now_tti: int) -> int:
+        """Smallest TTI strictly after now matching the node's offset."""
+        return now_tti + 1 + (int(self.offset[node]) - now_tti - 1) % self.period
 
-    def reserved_offset_mask(self, now_tti: int) -> np.ndarray:
+    def reserved_offset_mask(self, node: int, now_tti: int) -> np.ndarray:
         """Offsets announced by the reservations this node decoded that are
         still live at now_tti."""
-        offsets = self.history.resv_offset[self.node]
-        age = now_tti - self.history.resv_seen[self.node]
-        mask = np.zeros(self.cfg.selection_window_ttis, dtype=bool)
+        offsets = self.resv_offset[node]
+        age = now_tti - self.resv_seen[node]
+        mask = np.zeros(self.period, dtype=bool)
         mask[offsets[(offsets >= 0) & (age <= self.cfg.reservation_expiry_ttis)]] = True
         return mask
 
-    def select_resource(self, now_tti: int) -> SelectionResult:
+    def select_resource(self, node: int, now_tti: int) -> SelectionResult:
         """Pick a TTI among the least-utilized fifth of the next period.
 
         Candidates with any blind lag or a live decoded reservation are
@@ -157,16 +151,16 @@ class SpsScheduler:
         falls back to all candidates that are not fully blind.
         """
         cfg = self.cfg
-        period = cfg.selection_window_ttis
+        period = self.period
         candidates = np.arange(now_tti + 1, now_tti + 1 + period)
         vals, blind = self.history.lag_views(
-            candidates, self.node, cfg.sensing_window_ttis // period, period)
+            candidates, node, cfg.sensing_window_ttis // period, period)
         any_blind = blind.any(axis=1)
         fully_blind = blind.all(axis=1)
         n_heard = np.maximum((~blind).sum(axis=1), 1)
         scores = np.where(blind, 0.0, vals).sum(axis=1) / n_heard
 
-        reserved = self.reserved_offset_mask(now_tti)[candidates % period]
+        reserved = self.reserved_offset_mask(node, now_tti)[candidates % period]
         keep = ~any_blind & ~reserved
         if not keep.any():
             keep = ~fully_blind
@@ -181,27 +175,27 @@ class SpsScheduler:
         best = pool[perm[order[:best_n]]]
         chosen = int(best[self.rng.integers(best_n)])
 
-        self.selected_offset = chosen % period
+        self.offset[node] = chosen % period
         return SelectionResult(chosen, np.sort(best), pool)
 
-    def on_generation(self, now_tti: int) -> int:
-        """Advance the SPS counter at a CAM generation; returns the TTI that
-        will carry this packet."""
-        if self.selected_offset is None:
-            tx_tti = self.select_resource(now_tti).chosen_tti
+    def on_generation(self, node: int, now_tti: int) -> int:
+        """Advance the node's SPS counter at a CAM generation; returns the
+        TTI that will carry this packet."""
+        if self.offset[node] < 0:
+            tx_tti = self.select_resource(node, now_tti).chosen_tti
         else:
-            self.counter -= 1
-            if self.counter > 0:
-                return self._next_occurrence(now_tti)
+            self.counter[node] -= 1
+            if self.counter[node] > 0:
+                return self._next_occurrence(node, now_tti)
             if self.rng.random() < self.cfg.keep_probability:
-                tx_tti = self._next_occurrence(now_tti)
+                tx_tti = self._next_occurrence(node, now_tti)
             else:
-                tx_tti = self.select_resource(now_tti).chosen_tti
-        self.counter = self._draw_counter()
+                tx_tti = self.select_resource(node, now_tti).chosen_tti
+        self.counter[node] = self._draw_counter()
         return tx_tti
 
-    def note_decode(self, receivers: np.ndarray, offset: int, now_tti: int) -> None:
-        """Record this node's reservation at every receiver that decoded its
+    def note_decode(self, tx: int, receivers: np.ndarray, offset: int, now_tti: int) -> None:
+        """Record node tx's reservation at every receiver that decoded its
         control message."""
-        self.history.resv_offset[receivers, self.node] = offset
-        self.history.resv_seen[receivers, self.node] = now_tti
+        self.resv_offset[receivers, tx] = offset
+        self.resv_seen[receivers, tx] = now_tti

@@ -39,7 +39,6 @@ class TrafficConfig:
 class Cam:
     seq: int
     t_gen_us: int
-    payload_bytes: int
 
 
 def first_generation_us(cfg: TrafficConfig, rng: np.random.Generator) -> int:
@@ -80,7 +79,7 @@ class CamSource:
         self.seq = 0
 
     def generate(self, now_us: int) -> Cam:
-        cam = Cam(self.seq, now_us, self.cfg.payload_bytes)
+        cam = Cam(self.seq, now_us)
         self.seq += 1
         if self._redraw:
             self.period_us = station_period_us(self.tech, self.cfg, self._rng)

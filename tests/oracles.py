@@ -60,14 +60,6 @@ def read_csv(path) -> list[dict]:
     return rows
 
 
-def _kept(select, results: list):
-    def wrapper(now_tti):
-        result = select(now_tti)
-        results.append(result)
-        return result
-    return wrapper
-
-
 def record_cca(sim: Simulation) -> tuple[dict[int, list[tuple[int, bool]]],
                                          list[tuple[int, int]]]:
     """Record every CCA edge of each ITS-G5 node and every CSMA transmission.
@@ -100,16 +92,22 @@ def record_cca(sim: Simulation) -> tuple[dict[int, list[tuple[int, bool]]],
 
 
 def record_selections(sim: Simulation) -> dict[int, list]:
-    """Keep every SelectionResult each LTE node's scheduler returns."""
+    """Keep every SelectionResult the SPS scheduler returns, by LTE node."""
     selections = {}
-    for node, sched in sim.sps.items():
-        selections[node] = results = []
-        sched.select_resource = _kept(sched.select_resource, results)
+    select = sim.sps.select_resource
+
+    def spy(node, now_tti):
+        result = select(node, now_tti)
+        selections.setdefault(node, []).append(result)
+        return result
+
+    sim.sps.select_resource = spy
     return selections
 
 
 class SpsCounts:
-    """Reselections and counter expiries of one SPS scheduler, from now on.
+    """Reselections and counter expiries of an SPS scheduler that serves one
+    node, from now on.
 
     Every reselection is a select_resource call, and every counter draw
     after the first follows an expiry.
@@ -120,9 +118,9 @@ class SpsCounts:
         self.draws = 0
         select, draw = sched.select_resource, sched._draw_counter
 
-        def select_spy(now_tti):
+        def select_spy(node, now_tti):
             self.reselections += 1
-            return select(now_tti)
+            return select(node, now_tti)
 
         def draw_spy():
             self.draws += 1
@@ -174,6 +172,6 @@ class ContinuousLte(Simulation):
             super()._on_cam(node, t_us)
 
     def _on_slot(self, node: int, seq: int, t_us: int) -> None:
-        self.lte_pending[node] = Cam(seq, t_us, self.cfg.traffic.payload_bytes)
+        self.lte_pending[node] = Cam(seq, t_us)
         super()._on_slot(node, seq, t_us)
         self._push(t_us + TTI_US, EV_SLOT, (node, seq + 1))

@@ -199,12 +199,12 @@ def test_sps_selections_stay_in_best_fifth():
 
 def test_sps_tie_breaking_is_uniform():
     noise_mw = 10 ** (-98.0 / 10.0)
-    sched = SpsScheduler(0, SpsConfig(), SensingHistory(1, noise_mw),
+    sched = SpsScheduler(1, 100, SpsConfig(), SensingHistory(1, noise_mw),
                          np.random.default_rng(2))
     counts = np.zeros(100, dtype=int)
     trials = 10_000
     for _ in range(trials):
-        counts[sched.select_resource(0).chosen_tti - 1] += 1
+        counts[sched.select_resource(0, 0).chosen_tti - 1] += 1
     chi2 = float(((counts - trials / 100) ** 2 / (trials / 100)).sum())
     bound = float(stats.chi2.ppf(0.99, 99))
     ok = chi2 < bound
@@ -251,15 +251,15 @@ def test_repeat_execution_byte_identical(tmp_path):
 
 def test_reselection_interval_statistics():
     noise_mw = 10 ** (-98.0 / 10.0)
-    sched = SpsScheduler(0, SpsConfig(), SensingHistory(1, noise_mw),
+    sched = SpsScheduler(1, 100, SpsConfig(), SensingHistory(1, noise_mw),
                          np.random.default_rng(3))
     counts = SpsCounts(sched)
     now = 0
-    sched.on_generation(now)
+    sched.on_generation(0, now)
     gens = 0
     while counts.expiries < 10_000:
         now += 100
-        sched.on_generation(now)
+        sched.on_generation(0, now)
         gens += 1
     mean = gens / (counts.reselections - 1)
     ok = abs(mean - 20.0) <= 2.0

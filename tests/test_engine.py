@@ -41,22 +41,48 @@ def test_invalid_config_rejected():
         Simulation(small_engine_config(itsg5_fraction=1.5), seed=1)
 
 
-def test_beacon_period_must_match_sps_window():
-    # A 50 ms beacon against the 100-TTI SPS window would leave every other
-    # LTE CAM waiting on a stale reservation.
-    cfg = small_engine_config(itsg5_fraction=0.0,
-                              traffic=TrafficConfig(base_period_ms=50.0))
-    assert cfg.validate() == ["selection_window_ttis must span exactly base_period_ms"]
-    with pytest.raises(ValueError, match="selection_window_ttis"):
-        Simulation(cfg, seed=1)
-    cfg.sps = SpsConfig(selection_window_ttis=50)
+@pytest.mark.parametrize("period_ms", [20.0, 50.0, 100.0])
+@pytest.mark.parametrize("mix", [0.0, 0.5])
+def test_sps_window_follows_the_beacon_period(period_ms, mix):
+    # The selection window is one beacon period: every LTE CAM finds its
+    # reservation within the period, and each node's frames start on its
+    # offset modulo the period.
+    cfg = small_engine_config(itsg5_fraction=mix,
+                              traffic=TrafficConfig(base_period_ms=period_ms))
     assert cfg.validate() == []
+    sim = Simulation(cfg, seed=1)
+    assert sim.sps.period * TTI_US == round(period_ms * 1000)
+    begin_tx, off_offset = sim._begin_tx, []
+
+    def spy(node, cam, t_us, lte):
+        if lte and (t_us // TTI_US) % sim.sps.period != sim.sps.offset[node]:
+            off_offset.append((node, t_us))
+        begin_tx(node, cam, t_us, lte)
+
+    sim._begin_tx = spy
+    c = sim.run().counters
+    assert c["tx_ltev2x"] > 0 and off_offset == []
+    assert c["cams_dropped"] == 0 and c["lte_silent_periods"] == 0
+
+
+def test_beacon_period_must_be_whole_ttis_dividing_the_sensing_window():
+    for period_ms, error in (
+            (100.5, "base_period_ms must be a whole number of 1 ms TTIs"),
+            (300.0, "base_period_ms must divide sensing_window_ttis")):
+        cfg = small_engine_config(traffic=TrafficConfig(base_period_ms=period_ms))
+        assert cfg.validate() == [error]
+        with pytest.raises(ValueError, match=error):
+            Simulation(cfg, seed=1)
+    # An invalid period is reported by the traffic checks alone.
+    cfg = small_engine_config(traffic=TrafficConfig(base_period_ms=0.0))
+    assert cfg.validate() == ["base_period_ms must be > 0",
+                              "itsg5_jitter_ms must be in [0, base_period_ms)"]
 
 
 def test_sensing_window_must_hold_whole_selection_windows():
-    cfg = small_engine_config(sps=SpsConfig(sensing_window_ttis=1050))
-    assert cfg.validate() == [
-        "sensing_window_ttis must be a multiple of selection_window_ttis"]
+    for ttis in (50, 1050):
+        cfg = small_engine_config(sps=SpsConfig(sensing_window_ttis=ttis))
+        assert cfg.validate() == ["base_period_ms must divide sensing_window_ttis"]
     assert small_engine_config(sps=SpsConfig(sensing_window_ttis=500)).validate() == []
 
 
@@ -128,15 +154,17 @@ def test_cam_conservation():
 @settings(max_examples=40)
 @given(length_m=st.floats(200.0, 500.0), itsg5_fraction=st.floats(0.0, 1.0),
        mode=st.sampled_from(TrafficMode), per_packet_jitter=st.booleans(),
+       period_ms=st.sampled_from([20.0, 50.0, 100.0]),
        preamble=st.booleans(), lte_counts_g5=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
 def test_accounting_identities_hold_for_any_valid_config(
-        length_m, itsg5_fraction, mode, per_packet_jitter, preamble,
+        length_m, itsg5_fraction, mode, per_packet_jitter, period_ms, preamble,
         lte_counts_g5, seed):
     cfg = small_engine_config(
         road=RoadConfig(length_m=length_m),
         itsg5_fraction=itsg5_fraction,
-        traffic=TrafficConfig(mode=mode, per_packet_jitter=per_packet_jitter),
+        traffic=TrafficConfig(mode=mode, per_packet_jitter=per_packet_jitter,
+                              base_period_ms=period_ms),
         csma=CsmaConfig(preamble_threshold_dbm=-95.0 if preamble else None),
         lte_rx_counts_itsg5_interference=lte_counts_g5,
         warm_up_s=0.2, measure_s=0.5)
@@ -156,7 +184,7 @@ def test_accounting_identities_hold_for_any_valid_config(
 def test_mixed_run_populates_reservations():
     sim = Simulation(small_engine_config(), seed=11)
     sim.run()
-    resv = sim.history.resv_offset
+    resv = sim.sps.resv_offset
     assert (resv >= 0).any()
     # Only LTE nodes decode control messages, and only LTE nodes announce.
     assert (resv[sim.g5_ids] == -1).all()
@@ -166,9 +194,9 @@ def test_mixed_run_populates_reservations():
 def test_second_start_of_an_active_transmitter_is_an_error():
     cfg = small_engine_config(itsg5_fraction=1.0)
     sim = Simulation(cfg, seed=1, vehicles=two_vehicles())
-    sim._begin_tx(0, Cam(0, 0, 350), 0, lte=False)
+    sim._begin_tx(0, Cam(0, 0), 0, lte=False)
     with pytest.raises(RuntimeError, match="already transmitting"):
-        sim._begin_tx(0, Cam(1, 0, 350), 100, lte=False)
+        sim._begin_tx(0, Cam(1, 0), 100, lte=False)
 
 
 def test_event_in_the_past_is_an_error():
@@ -191,7 +219,7 @@ def test_weak_reservation_is_not_recorded():
                          vehicles=two_vehicles(d_m, (Tech.LTEV2X, Tech.LTEV2X)))
         sim.run()
         assert sim.counters["tx_ltev2x"] > 0
-        assert (sim.history.resv_offset[[0, 1], [1, 0]] >= 0).all() == recorded
+        assert (sim.sps.resv_offset[[0, 1], [1, 0]] >= 0).all() == recorded
 
 
 def test_half_duplex_receiver_records_no_reservation():
@@ -201,7 +229,7 @@ def test_half_duplex_receiver_records_no_reservation():
     sim = ContinuousLte(cfg, seed=5, vehicles=two_vehicles(50.0, (Tech.LTEV2X, Tech.LTEV2X)))
     sim.run()
     assert sim.counters["tx_ltev2x"] > 0
-    assert (sim.history.resv_offset == -1).all()
+    assert (sim.sps.resv_offset == -1).all()
 
 
 def test_node_never_records_its_own_reservation():
@@ -209,7 +237,7 @@ def test_node_never_records_its_own_reservation():
     cfg = small_engine_config(itsg5_fraction=0.0, shadowing=NO_SHADOW, measure_s=1.0)
     sim = Simulation(cfg, seed=5, vehicles=two_vehicles(100.0, (Tech.LTEV2X, Tech.LTEV2X)))
     sim.run()
-    resv = sim.history.resv_offset
+    resv = sim.sps.resv_offset
     assert resv[0, 1] >= 0 and resv[1, 0] >= 0
     assert resv[0, 0] == -1 and resv[1, 1] == -1
 
@@ -267,8 +295,8 @@ def test_concurrent_power_sums_and_two_tier_sensing():
     cfg = small_engine_config(itsg5_fraction=1.0, shadowing=NO_SHADOW)
     sim = Simulation(cfg, seed=1, vehicles=vehicles)
     assert not sim.busy.any()
-    sim._begin_tx(0, Cam(0, 0, 350), 0, lte=False)
-    sim._begin_tx(1, Cam(0, 0, 350), 0, lte=False)
+    sim._begin_tx(0, Cam(0, 0), 0, lte=False)
+    sim._begin_tx(1, Cam(0, 0), 0, lte=False)
     # Middle node hears both 100 m neighbours at about -71 dBm each.
     per_link = rx_power_mw(path_loss_db(100.0, cfg.link), 0.0, cfg.link)
     assert sim.power_mw[2] == pytest.approx(2 * per_link, rel=1e-9)
@@ -289,7 +317,7 @@ def test_energy_only_sensing_ignores_sub_threshold_preambles():
     cfg = small_engine_config(itsg5_fraction=1.0, shadowing=NO_SHADOW)
     cfg.csma.preamble_threshold_dbm = None
     sim = Simulation(cfg, seed=1, vehicles=vehicles)
-    sim._begin_tx(0, Cam(0, 0, 350), 0, lte=False)
+    sim._begin_tx(0, Cam(0, 0), 0, lte=False)
     assert not sim.busy[1]  # -71 dBm is below the energy gate
 
 
@@ -331,15 +359,9 @@ def test_cca_masks_follow_mac_phases(monkeypatch):
 
 def test_all_itsg5_run_keeps_no_sensing_history():
     sim = Simulation(small_engine_config(itsg5_fraction=1.0), seed=5)
-    calls = []
-    for name in ("advance", "finalize"):
-        def spy(*args, name=name, method=getattr(sim.history, name)):
-            calls.append(name)
-            return method(*args)
-        setattr(sim.history, name, spy)
+    assert sim.history is None and sim.sps is None
     log = sim.run()
     assert log.counters["tx_itsg5"] > 0
-    assert calls == []
 
 
 def test_sensed_rssi_averages_burst_over_occupied_symbols():
@@ -372,14 +394,15 @@ def test_selection_sees_every_ended_tti_and_no_open_one():
     # TTIs close lazily as time advances; each SPS selection must still read
     # a history finalized exactly up to the TTI before its own.
     sim = Simulation(small_engine_config(itsg5_fraction=0.5), seed=4)
-    seen = []
-    for sched in sim.sps.values():
-        def spy(now_tti, select=sched.select_resource):
-            seen.append((now_tti, sim.history.last_finalized_tti))
-            return select(now_tti)
-        sched.select_resource = spy
+    seen, select = [], sim.sps.select_resource
+
+    def spy(node, now_tti):
+        seen.append((now_tti, sim.history.last_finalized_tti))
+        return select(node, now_tti)
+
+    sim.sps.select_resource = spy
     sim.run()
-    assert len(seen) > len(sim.sps)
+    assert len(seen) > sim.lte_ids.size
     assert all(last == now_tti - 1 for now_tti, last in seen)
 
 
@@ -405,15 +428,15 @@ def test_interference_energy_counts_only_the_overlap():
     ]
     cfg = small_engine_config(itsg5_fraction=1.0, shadowing=NO_SHADOW)
     sim = Simulation(cfg, seed=1, vehicles=vehicles)
-    sim._begin_tx(0, Cam(0, 0, 350), 0, lte=False)
-    sim._begin_tx(1, Cam(0, 0, 350), 256, lte=False)
+    sim._begin_tx(0, Cam(0, 0), 0, lte=False)
+    sim._begin_tx(1, Cam(0, 0), 256, lte=False)
     first, second = sim.active[0], sim.active[1]
     sim._end_tx(first, 512)
     # Each 512 us frame overlapped the other for 256 us: fraction one half.
     assert first.interf_mw_us[2] == pytest.approx(second.rx_mw[2] * 256, rel=1e-12)
     assert second.interf_mw_us[2] == pytest.approx(first.rx_mw[2] * 256, rel=1e-12)
     # A frame starting at the instant another ends overlaps it for zero time.
-    sim._begin_tx(0, Cam(1, 0, 350), 768, lte=False)
+    sim._begin_tx(0, Cam(1, 0), 768, lte=False)
     third = sim.active[0]
     sim._end_tx(second, 768)
     assert not third.interf_mw_us.any()

@@ -98,8 +98,9 @@ def test_config_missing_file(tmp_path):
 
 def test_config_keys_reach_every_engine_field():
     # A field no config key sets is a knob only tests can turn. The harness
-    # sets the three exempt fields itself, from `modes` and the PER-curve paths.
-    exempt = {"traffic.mode", "itsg5_per_curve", "ltev2x_per_curve"}
+    # sets the four exempt fields itself, from `modes`, `mix_fractions` and
+    # the PER-curve paths.
+    exempt = {"traffic.mode", "itsg5_fraction", "itsg5_per_curve", "ltev2x_per_curve"}
     cfg = EngineConfig()
     leaves = set()
     for f in fields(cfg):
@@ -142,9 +143,12 @@ def test_validation_rejects_colliding_mixes():
 def test_main_rejects_inconsistent_configs(tmp_path, capsys):
     assert main(["--mix", "0.499,0.501", "--out", str(tmp_path / "out")]) == 1
     assert "both write prr_standard_50.csv, prr_constrained_50.csv" in capsys.readouterr().err
-    cfg_path = write_config(tmp_path, FAST_CONFIG + "base_period_ms = 50\n")
-    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
-    assert "selection_window_ttis must span exactly base_period_ms" in capsys.readouterr().err
+    for period_ms, message in (
+            (100.5, "base_period_ms must be a whole number of 1 ms TTIs"),
+            (300, "base_period_ms must divide sensing_window_ttis")):
+        cfg_path = write_config(tmp_path, FAST_CONFIG + f"base_period_ms = {period_ms}\n")
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [message]
     assert not (tmp_path / "out").exists()
 
 
@@ -255,6 +259,11 @@ def test_run_experiment_rejects_invalid_config(tmp_path):
 def test_main_exit_codes(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "missing.cfg")]) == 1
     assert "cannot read config file" in capsys.readouterr().err
+    # The mix comes from mix_fractions (or --mix) alone.
+    cfg_path = write_config(tmp_path, FAST_CONFIG + "itsg5_fraction = 0.1\n")
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert "unknown key 'itsg5_fraction'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
     cfg_path = write_config(tmp_path)
     ok_args = ["--config", str(cfg_path), "--mix", "1.0", "--mode", "standard",

@@ -50,7 +50,7 @@ class ScriptedRng:
 
 
 def cam(seq=0):
-    return Cam(seq, 0, 350)
+    return Cam(seq, 0)
 
 
 def test_airtime_values():

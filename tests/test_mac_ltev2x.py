@@ -24,7 +24,10 @@ def flat_history(n_nodes=1) -> SensingHistory:
 
 
 def make_scheduler(rng=None, cfg=None, history=None) -> SpsScheduler:
-    return SpsScheduler(0, cfg or SpsConfig(), history or flat_history(),
+    """A scheduler over the nodes of `history`, on the 100-TTI period; the
+    tests select for node 0."""
+    history = history or flat_history()
+    return SpsScheduler(history.blind_now.size, 100, cfg or SpsConfig(), history,
                         rng if rng is not None else np.random.default_rng(42))
 
 
@@ -74,8 +77,8 @@ def test_sps_config_validation():
     assert SpsConfig(keep_probability=1.5).validate()
     assert SpsConfig(counter_min=0).validate()
     assert SpsConfig(counter_min=10, counter_max=5).validate()
-    assert SpsConfig(sensing_window_ttis=50).validate()
-    assert SpsConfig(selection_window_ttis=0).validate()
+    assert SpsConfig(sensing_window_ttis=0).validate() == [
+        "sensing_window_ttis must be >= 1"]
     assert SpsConfig(best_fraction=0.0).validate()
     # An expiry below one TTI leaves every decoded reservation dead on arrival.
     assert SpsConfig(reservation_expiry_ttis=0).validate() == [
@@ -107,13 +110,13 @@ def test_sensing_history_fallback_outside_window():
 def test_select_resource_window_and_bookkeeping():
     sched = make_scheduler()
     counts = SpsCounts(sched)
-    sel = sched.select_resource(250)
+    sel = sched.select_resource(0, 250)
     assert 251 <= sel.chosen_tti <= 350
     assert sel.chosen_tti in sel.best_ttis
     assert sel.best_ttis.size == 20
     assert sel.pool_ttis.size == 100
-    assert sched.selected_offset == sel.chosen_tti % 100
-    assert sched._next_occurrence(250) == sel.chosen_tti
+    assert sched.offset[0] == sel.chosen_tti % 100
+    assert sched._next_occurrence(0, 250) == sel.chosen_tti
     assert counts.reselections == 1
 
 
@@ -125,7 +128,7 @@ def test_high_rssi_candidate_is_never_picked():
         h.finalize(t, np.array([val]), np.array([False]))
     for trial in range(100):
         sched = make_scheduler(rng=np.random.default_rng(trial), history=h)
-        sel = sched.select_resource(999)
+        sel = sched.select_resource(0, 999)
         assert sel.chosen_tti % 100 != 37
         assert not np.any(sel.best_ttis % 100 == 37)
 
@@ -134,74 +137,72 @@ def test_blind_candidate_is_excluded_from_pool():
     h = SensingHistory(1, NOISE_MW)
     for t in range(1000):
         h.finalize(t, np.array([NOISE_MW]), np.array([t % 100 == 37]))
-    sel = make_scheduler(history=h).select_resource(999)
+    sel = make_scheduler(history=h).select_resource(0, 999)
     assert sel.pool_ttis.size == 99
     assert not np.any(sel.pool_ttis % 100 == 37)
 
 
-def announce(history, tx_node, offset, now_tti, receivers=(0,)):
+def announce(sched, tx_node, offset, now_tti, receivers=(0,)):
     """Node tx_node's control message decoded by `receivers`."""
-    sched = SpsScheduler(tx_node, SpsConfig(), history, np.random.default_rng(0))
-    sched.note_decode(np.array(receivers), offset, now_tti)
+    sched.note_decode(tx_node, np.array(receivers), offset, now_tti)
 
 
 def test_decoded_reservation_excludes_offset():
-    h = flat_history(6)
-    announce(h, 5, offset=7, now_tti=900)
-    assert h.resv_offset[:, 5].tolist() == [7, -1, -1, -1, -1, -1]
-    sel = make_scheduler(history=h).select_resource(999)
+    sched = make_scheduler(history=flat_history(6))
+    announce(sched, 5, offset=7, now_tti=900)
+    assert sched.resv_offset[:, 5].tolist() == [7, -1, -1, -1, -1, -1]
+    sel = sched.select_resource(0, 999)
     assert sel.pool_ttis.size == 99
     assert not np.any(sel.pool_ttis % 100 == 7)
 
 
 def test_reservation_expires_after_one_second():
-    h = flat_history(6)
-    announce(h, 5, offset=7, now_tti=900)
-    sched = make_scheduler(history=h)
-    assert sched.reserved_offset_mask(1900).tolist() == [i == 7 for i in range(100)]
-    assert not sched.reserved_offset_mask(1902).any()
+    sched = make_scheduler(history=flat_history(6))
+    announce(sched, 5, offset=7, now_tti=900)
+    assert sched.reserved_offset_mask(0, 1900).tolist() == [i == 7 for i in range(100)]
+    assert not sched.reserved_offset_mask(0, 1902).any()
     # A fresh decode of the same transmitter revives the entry.
-    announce(h, 5, offset=9, now_tti=1901)
-    assert sched.reserved_offset_mask(1902).nonzero()[0].tolist() == [9]
+    announce(sched, 5, offset=9, now_tti=1901)
+    assert sched.reserved_offset_mask(0, 1902).nonzero()[0].tolist() == [9]
 
 
 def test_all_offsets_reserved_falls_back_to_full_pool():
-    h = flat_history(101)
+    sched = make_scheduler(history=flat_history(101))
     for n in range(100):
-        announce(h, n + 1, offset=n, now_tti=900)
-    sched = make_scheduler(history=h)
-    assert sched.reserved_offset_mask(999).all()
-    sel = sched.select_resource(999)
+        announce(sched, n + 1, offset=n, now_tti=900)
+    assert sched.reserved_offset_mask(0, 999).all()
+    sel = sched.select_resource(0, 999)
     assert sel.pool_ttis.size == 100
 
 
 def test_next_occurrence_is_strictly_future():
     sched = make_scheduler()
-    sched.selected_offset = 37
-    assert sched._next_occurrence(250) == 337
-    assert sched._next_occurrence(36) == 37
-    assert sched._next_occurrence(37) == 137
-    assert sched._next_occurrence(336) == 337
+    sched.offset[0] = 37
+    assert sched._next_occurrence(0, 250) == 337
+    assert sched._next_occurrence(0, 36) == 37
+    assert sched._next_occurrence(0, 37) == 137
+    assert sched._next_occurrence(0, 336) == 337
 
 
 def test_on_generation_initial_selection_and_counter():
     sched = make_scheduler(rng=StubRng(counters=[7]))
     counts = SpsCounts(sched)
-    tx = sched.on_generation(0)
-    assert sched.selected_offset is not None
-    assert 1 <= tx <= 100
-    assert sched.counter == 7
+    tx = sched.on_generation(0, 0)
+    assert sched.offset[0] >= 0
+    assert type(tx) is int and 1 <= tx <= 100
+    assert sched.counter[0] == 7
     assert counts.expiries == 0
 
 
 def test_on_generation_countdown_keeps_offset():
     sched = make_scheduler(rng=StubRng(counters=[3]))
     counts = SpsCounts(sched)
-    sched.on_generation(0)
-    offset = sched.selected_offset
-    t1 = sched.on_generation(100)
-    t2 = sched.on_generation(200)
-    assert sched.counter == 1
+    sched.on_generation(0, 0)
+    offset = sched.offset[0]
+    t1 = sched.on_generation(0, 100)
+    t2 = sched.on_generation(0, 200)
+    assert sched.counter[0] == 1
+    assert type(t1) is int and type(t2) is int
     assert t1 % 100 == offset and t2 % 100 == offset
     assert 101 <= t1 <= 200 and 201 <= t2 <= 300
     assert counts.expiries == 0 and counts.reselections == 1
@@ -212,13 +213,13 @@ def test_counter_expiry_keep_and_reselect_paths():
     sched = make_scheduler(rng=StubRng(counters=[1, 1, 1], randoms=[0.4, 0.6]),
                            cfg=cfg)
     counts = SpsCounts(sched)
-    sched.on_generation(0)
-    offset = sched.selected_offset
-    sched.on_generation(100)  # keep draw 0.4 < 0.5
+    sched.on_generation(0, 0)
+    offset = sched.offset[0]
+    sched.on_generation(0, 100)  # keep draw 0.4 < 0.5
     assert counts.expiries == 1
     assert counts.reselections == 1
-    assert sched.selected_offset == offset
-    sched.on_generation(200)  # keep draw 0.6 >= 0.5: reselect
+    assert sched.offset[0] == offset
+    sched.on_generation(0, 200)  # keep draw 0.6 >= 0.5: reselect
     assert counts.expiries == 2
     assert counts.reselections == 2
 
@@ -227,11 +228,11 @@ def test_transmissions_repeat_on_selected_offset():
     sched = make_scheduler(rng=np.random.default_rng(9),
                            cfg=SpsConfig(counter_min=15, counter_max=15))
     now = 0
-    sched.on_generation(now)
-    offset = sched.selected_offset
+    sched.on_generation(0, now)
+    offset = sched.offset[0]
     for _ in range(10):
         now += 100
-        tx = sched.on_generation(now)
+        tx = sched.on_generation(0, now)
         assert tx % 100 == offset
         assert now < tx <= now + 100
 
@@ -240,7 +241,7 @@ def test_selection_covers_most_offsets():
     seen = set()
     for trial in range(2000):
         sched = make_scheduler(rng=np.random.default_rng(trial))
-        seen.add(sched.select_resource(0).chosen_tti % 100)
+        seen.add(sched.select_resource(0, 0).chosen_tti % 100)
     assert len(seen) >= 95
 
 
@@ -248,11 +249,11 @@ def test_mean_generations_between_reselections():
     sched = make_scheduler(rng=np.random.default_rng(5))
     counts = SpsCounts(sched)
     now = 0
-    sched.on_generation(now)
+    sched.on_generation(0, now)
     gens = 0
     while counts.expiries < 1000:
         now += 100
-        sched.on_generation(now)
+        sched.on_generation(0, now)
         gens += 1
     mean = gens / (counts.reselections - 1)
     assert mean == pytest.approx(20.0, abs=2.0)

@@ -67,12 +67,11 @@ def test_cam_source_constant_period(rng):
     t = src.next_time_us
     gaps = []
     for _ in range(5):
-        cam = src.generate(t)
+        src.generate(t)
         gaps.append(src.next_time_us - t)
         t = src.next_time_us
     assert len(set(gaps)) == 1
     assert gaps[0] == src.period_us
-    assert cam.payload_bytes == 350
 
 
 def test_cam_source_sequence_and_timestamps(rng):
@@ -121,6 +120,6 @@ def test_cam_source_count_over_interval(rng):
 
 
 def test_cam_is_frozen():
-    cam = Cam(0, 0, 350)
+    cam = Cam(0, 0)
     with pytest.raises(AttributeError):
         cam.seq = 5
