@@ -4,7 +4,7 @@ sidelink LTE-V2X Mode 4 (semi-persistent scheduling) on a highway."""
 from .engine import EngineConfig, RunLog, Simulation, run
 from .harness import ExperimentConfig, load_config, main, run_experiment
 from .results import Aggregate, PrrHistogram, aggregate
-from .scenario import RoadConfig, Tech, Vehicle
+from .scenario import Fleet, RoadConfig
 from .traffic import TrafficConfig, TrafficMode
 
 __version__ = "0.1.0"
@@ -13,14 +13,13 @@ __all__ = [
     "Aggregate",
     "EngineConfig",
     "ExperimentConfig",
+    "Fleet",
     "PrrHistogram",
     "RoadConfig",
     "RunLog",
     "Simulation",
-    "Tech",
     "TrafficConfig",
     "TrafficMode",
-    "Vehicle",
     "aggregate",
     "load_config",
     "main",

@@ -141,9 +141,7 @@ class PerCurve:
 
     def lookup(self, sinr_db):
         s = np.asarray(sinr_db, dtype=float)
-        out = np.interp(s, self.sinr_db, self.per)
-        out = np.where(s < self.sinr_db[0], 1.0, out)
-        out = np.where(s > self.sinr_db[-1], 0.0, out)
+        out = np.interp(s, self.sinr_db, self.per, left=1.0, right=0.0)
         return float(out) if np.isscalar(sinr_db) else out
 
     @classmethod

@@ -4,8 +4,8 @@ Time is integer microseconds and every action is an event on one heap,
 ordered by (time, kind, sequence); there is no 1 ms clock. The kind codes
 double as same-instant priorities: geometry updates first, then transmission
 ends (half-open busy intervals: at its end instant a signal is already gone),
-sidelink slots, CAM generations, MAC timers, and run end. Stale sidelink slots
-and MAC timers are dropped when they fire.
+sidelink slots, CAM generations, MAC timers, and run end. Stale MAC timers
+are dropped when they fire. A CAM is its generation time in us.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from .channel import (
 )
 from .mac_itsg5 import CsmaConfig, CsmaMac, airtime_us, cca_busy
 from .mac_ltev2x import OCCUPIED_US, TTI_US, SensingHistory, SpsConfig, SpsScheduler
-from .results import TECH_INDEX, PrrHistogram
-from .scenario import RoadConfig, Tech, Vehicle, advance_positions, distance_matrix, spawn
-from .traffic import Cam, CamSource, TrafficConfig
+from .results import PrrHistogram
+from .scenario import Fleet, RoadConfig, advance_positions, distance_matrix, spawn
+from .traffic import CamSource, TrafficConfig
 
 EV_MOBILITY = 0
 EV_TXEND = 1
@@ -132,14 +132,14 @@ class TxRec:
     is accumulated per receiver in mW*us as overlapping transmissions end.
     """
 
-    __slots__ = ("tx", "lte", "cam", "start_us", "end_us", "rx_mw", "dist_m",
+    __slots__ = ("tx", "lte", "t_gen_us", "start_us", "end_us", "rx_mw", "dist_m",
                  "interf_mw_us", "halfdup")
 
-    def __init__(self, tx: int, lte: bool, cam: Cam, start_us: int, end_us: int,
+    def __init__(self, tx: int, lte: bool, t_gen_us: int, start_us: int, end_us: int,
                  rx_mw: np.ndarray, dist_m: np.ndarray, n: int):
         self.tx = tx
         self.lte = lte
-        self.cam = cam
+        self.t_gen_us = t_gen_us
         self.start_us = start_us
         self.end_us = end_us
         self.rx_mw = rx_mw
@@ -149,7 +149,7 @@ class TxRec:
 
 
 class Simulation:
-    def __init__(self, config: EngineConfig, seed, vehicles: list[Vehicle] | None = None):
+    def __init__(self, config: EngineConfig, seed, fleet: Fleet | None = None):
         errors = config.validate()
         if errors:
             raise ValueError("invalid configuration: " + "; ".join(errors))
@@ -158,14 +158,14 @@ class Simulation:
         streams = ss.spawn(len(SUBSTREAMS))
         self.rng = {name: np.random.default_rng(s) for name, s in zip(SUBSTREAMS, streams)}
 
-        if vehicles is None:
-            vehicles = spawn(config.road, config.itsg5_fraction, self.rng["placement"])
-        n = len(vehicles)
+        if fleet is None:
+            fleet = spawn(config.road, config.itsg5_fraction, self.rng["placement"])
+        self.pos = np.asarray(fleet.pos_m, dtype=float)
+        self.lane = np.asarray(fleet.lane, dtype=int)
+        self.dirsign = np.where(self.lane < config.road.lanes_per_direction, 1, -1)
+        self.is_lte = np.asarray(fleet.is_lte, dtype=bool)
+        n = self.pos.size
         self.n = n
-        self.pos = np.array([v.pos_m for v in vehicles])
-        self.lane = np.array([v.lane_index for v in vehicles], dtype=int)
-        self.dirsign = np.array([v.direction.value for v in vehicles], dtype=int)
-        self.is_lte = np.array([v.tech is Tech.LTEV2X for v in vehicles], dtype=bool)
         self.lte_ids = np.nonzero(self.is_lte)[0]
         self.g5_ids = np.nonzero(~self.is_lte)[0]
 
@@ -196,9 +196,8 @@ class Simulation:
         self.want_idle = np.zeros(n, dtype=bool)
 
         self.macs: list[CsmaMac | None] = [
-            CsmaMac(i, config.csma, self.rng["backoff"], self)
-            if v.tech is Tech.ITSG5 else None
-            for i, v in enumerate(vehicles)
+            None if lte else CsmaMac(i, config.csma, self.rng["backoff"], self)
+            for i, lte in enumerate(self.is_lte.tolist())
         ]
         self.history: SensingHistory | None = None
         self.sps: SpsScheduler | None = None
@@ -206,15 +205,16 @@ class Simulation:
             self.history = SensingHistory(n, self.noise_mw, config.sps.sensing_window_ttis)
             period_ttis = round(config.traffic.base_period_ms * 1000) // TTI_US
             self.sps = SpsScheduler(n, period_ttis, config.sps, self.history, self.rng["sps"])
-        self.sources = [CamSource(v.tech, config.traffic, self.rng["traffic"])
-                        for v in vehicles]
+        self.sources = CamSource(self.is_lte, config.traffic, self.rng["traffic"])
 
-        self.lte_pending: dict[int, Cam] = {}
+        # node -> generation time of its CAM awaiting its sidelink slot
+        self.lte_pending: dict[int, int] = {}
 
         self.hist = PrrHistogram(config.bin_width_m, config.max_distance_m)
         self.counters = {
             "cams_generated": 0, "cams_dropped": 0, "tx_itsg5": 0, "tx_ltev2x": 0,
             "counted_tx": 0, "rx_opportunities": 0, "rx_success": 0,
+            # lte_silent_periods is never incremented; RunLog.digest() hashes it.
             "rx_halfduplex": 0, "lte_silent_periods": 0,
         }
 
@@ -225,8 +225,8 @@ class Simulation:
         self.heap: list = []
 
         self._push(config.mobility_update_ms * 1000, EV_MOBILITY, None)
-        for i, src in enumerate(self.sources):
-            self._push(src.next_time_us, EV_CAM, i)
+        for i, t_us in enumerate(self.sources.next_time_us):
+            self._push(t_us, EV_CAM, i)
         self._push(self.end_us, EV_RUNEND, None)
 
     # -- airlink interface used by the CSMA MACs -----------------------------
@@ -237,7 +237,7 @@ class Simulation:
     def arm_timer(self, node: int, due_us: int, token: int) -> None:
         self._push(due_us, EV_MACTIMER, (node, token))
 
-    def start_tx(self, node: int, cam: Cam, now_us: int) -> None:
+    def start_tx(self, node: int, cam: int, now_us: int) -> None:
         self._begin_tx(node, cam, now_us, lte=False)
 
     # -- internals -----------------------------------------------------------
@@ -270,7 +270,7 @@ class Simulation:
             else:
                 self.macs[i].on_idle(t_us)
 
-    def _begin_tx(self, node: int, cam: Cam, t_us: int, lte: bool) -> None:
+    def _begin_tx(self, node: int, cam: int, t_us: int, lte: bool) -> None:
         if node in self.active:
             raise RuntimeError(f"node {node} is already transmitting")
         if self.history is not None:
@@ -305,13 +305,10 @@ class Simulation:
                     other.interf_mw_us += rec.rx_mw * w
                 if other.lte or not rec.lte or count_at_lte:
                     rec.interf_mw_us += other.rx_mw * w
-        if self.active:
-            power = np.zeros(self.n)
-            for other in self.active.values():
-                power += other.rx_mw
-            self.power_mw = power
-        else:
-            self.power_mw = np.zeros(self.n)
+        power = np.zeros(self.n)
+        for other in self.active.values():
+            power += other.rx_mw
+        self.power_mw = power
         if not rec.lte and self.preamble_mw is not None:
             self._preamble_count -= rec.rx_mw >= self.preamble_mw
         self._update_busy(t_us)
@@ -327,7 +324,7 @@ class Simulation:
                                 & ~rec.halfdup[self.lte_ids]]
             self.sps.note_decode(rec.tx, cand, offset, t_us // TTI_US)
 
-        if rec.cam.t_gen_us < self.warmup_us:
+        if rec.t_gen_us < self.warmup_us:
             return
         self.counters["counted_tx"] += 1
         mask = (rec.rx_mw >= self.relevance_mw) & (rec.dist_m < self.cfg.max_distance_m)
@@ -341,38 +338,31 @@ class Simulation:
         draws = self.rng["reception"].random(idx.size)
         halfdup = rec.halfdup[idx]
         success = reception_success(per, draws) & ~halfdup
-        self.hist.record_many(TECH_INDEX[Tech.LTEV2X if rec.lte else Tech.ITSG5],
-                              rec.dist_m[idx], success)
+        self.hist.record_many(int(rec.lte), rec.dist_m[idx], success)
         self.counters["rx_opportunities"] += int(idx.size)
         self.counters["rx_success"] += int(success.sum())
         self.counters["rx_halfduplex"] += int(halfdup.sum())
 
-    def _on_slot(self, node: int, seq: int, t_us: int) -> None:
-        cam = self.lte_pending.get(node)
-        if cam is None or cam.seq != seq:
-            self.counters["lte_silent_periods"] += 1
-            return
-        del self.lte_pending[node]
-        self._begin_tx(node, cam, t_us, lte=True)
+    def _on_slot(self, node: int, t_us: int) -> None:
+        self._begin_tx(node, self.lte_pending.pop(node), t_us, lte=True)
 
     def _on_cam(self, node: int, t_us: int) -> None:
-        src = self.sources[node]
-        cam = src.generate(t_us)
+        next_us = self.sources.generate(node, t_us)
         self.counters["cams_generated"] += 1
-        if src.next_time_us < self.end_us:
-            self._push(src.next_time_us, EV_CAM, node)
+        if next_us < self.end_us:
+            self._push(next_us, EV_CAM, node)
         mac = self.macs[node]
         if mac is not None:
-            mac.on_packet_ready(cam, t_us)
+            mac.on_packet_ready(t_us, t_us)
             return
         # Selection reads only the TTIs that have ended; integrating into the
         # open TTI here would split its segments and change their float sum.
         self.history.advance(t_us - t_us % TTI_US, self.power_mw)
+        # The slot lies within one period, at or before the node's next CAM
+        # (EV_SLOT sorts first), so a node holds at most one pending CAM.
         tx_tti = self.sps.on_generation(node, t_us // TTI_US)
-        if node in self.lte_pending:
-            self.counters["cams_dropped"] += 1
-        self.lte_pending[node] = cam
-        self._push(tx_tti * TTI_US, EV_SLOT, (node, cam.seq))
+        self.lte_pending[node] = t_us
+        self._push(tx_tti * TTI_US, EV_SLOT, node)
 
     def _on_mobility(self, t_us: int) -> None:
         cfg = self.cfg
@@ -399,21 +389,23 @@ class Simulation:
                 self._end_tx(payload, t)
             elif kind == EV_MACTIMER:
                 node, token = payload
-                mac = self.macs[node]
-                if mac is not None:
-                    mac.on_timer(t, token)
+                self.macs[node].on_timer(t, token)
             elif kind == EV_CAM:
                 self._on_cam(payload, t)
             elif kind == EV_SLOT:
-                self._on_slot(*payload, t)
+                self._on_slot(payload, t)
             elif kind == EV_MOBILITY:
                 self._on_mobility(t)
-        drops = sum(m.drops for m in self.macs if m is not None)
-        self.counters["cams_dropped"] += drops
+        for mac in self.macs:
+            if mac is not None:
+                self.counters["cams_dropped"] += mac.drops
+                # Break the MAC <-> Simulation cycle: a pool worker then frees
+                # each finished run at once, not at the next cyclic collection.
+                mac.airlink = None
         return RunLog(histogram=self.hist, counters=dict(self.counters), n_vehicles=self.n)
 
 
-def run(config: EngineConfig, seed, vehicles: list[Vehicle] | None = None) -> RunLog:
+def run(config: EngineConfig, seed, fleet: Fleet | None = None) -> RunLog:
     """Simulate warm-up plus measurement time; same (config, seed) gives an
     identical RunLog."""
-    return Simulation(config, seed, vehicles).run()
+    return Simulation(config, seed, fleet).run()

@@ -8,8 +8,6 @@ from enum import Enum
 
 import numpy as np
 
-from .traffic import Cam
-
 PREAMBLE_SIG_US = 40
 SYMBOL_US = 8
 SERVICE_TAIL_BITS = 22
@@ -106,7 +104,7 @@ class CsmaMac:
         self.rng = rng
         self.airlink = airlink
         self.phase = Phase.IDLE
-        self.pending: Cam | None = None
+        self.pending: int | None = None  # the CAM's generation time; 0 is a CAM
         self.backoff_slots: int | None = None
         self.drops = 0
         self._count_start_us = 0
@@ -132,7 +130,7 @@ class CsmaMac:
         self._token += 1
         self._timer_due_us = None
 
-    def on_packet_ready(self, cam: Cam, now_us: int) -> None:
+    def on_packet_ready(self, cam: int, now_us: int) -> None:
         if self.pending is not None:
             self.drops += 1
         self.pending = cam

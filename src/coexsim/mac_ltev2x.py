@@ -47,7 +47,7 @@ class SensingHistory:
     occupied symbols, and a node that starts transmitting sets blind_now.
     """
 
-    def __init__(self, n_nodes: int, noise_mw: float, window_ttis: int = 1000):
+    def __init__(self, n_nodes: int, noise_mw: float, window_ttis: int):
         self.window = window_ttis
         self.noise_mw = noise_mw
         self.rssi_mw = np.full((window_ttis, n_nodes), noise_mw)

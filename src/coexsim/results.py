@@ -7,10 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .scenario import Tech
-
+# Histogram rows: 0 for ITS-G5, 1 for LTE-V2X.
 TECH_NAMES = ("ItsG5", "LteV2x")
-TECH_INDEX = {Tech.ITSG5: 0, Tech.LTEV2X: 1}
 
 CSV_HEADER = "tech,bin_lo_m,bin_hi_m,prr,prr_std,opportunities,runs"
 
@@ -40,8 +38,8 @@ class PrrHistogram:
         bins = (distances_m // self.bin_width_m).astype(np.int64)
         ok = bins < self.n_bins
         bins = bins[ok]
-        np.add.at(self.opportunities[tech_index], bins, 1)
-        np.add.at(self.successes[tech_index], bins, successes[ok].astype(np.int64))
+        self.opportunities[tech_index] += np.bincount(bins, minlength=self.n_bins)
+        self.successes[tech_index] += np.bincount(bins[successes[ok]], minlength=self.n_bins)
 
     def merge(self, other: "PrrHistogram") -> None:
         if (other.bin_width_m != self.bin_width_m

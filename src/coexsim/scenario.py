@@ -2,21 +2,11 @@
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-
-
-class Tech(enum.Enum):
-    ITSG5 = "ItsG5"
-    LTEV2X = "LteV2x"
-
-
-class Direction(enum.Enum):
-    FORWARD = 1
-    BACKWARD = -1
 
 
 @dataclass
@@ -44,12 +34,13 @@ class RoadConfig:
         return errors
 
 
-@dataclass
-class Vehicle:
-    lane_index: int
-    pos_m: float
-    direction: Direction
-    tech: Tech
+class Fleet(NamedTuple):
+    """Per-node arrays of a run's vehicles: position, lane index and radio
+    (True for LTE-V2X)."""
+
+    pos_m: np.ndarray
+    lane: np.ndarray
+    is_lte: np.ndarray
 
 
 def round_half_away(x: float) -> int:
@@ -65,7 +56,7 @@ def itsg5_count(n_vehicles: int, itsg5_fraction: float) -> int:
     return round_half_away(itsg5_fraction * n_vehicles)
 
 
-def spawn(cfg: RoadConfig, itsg5_fraction: float, rng: np.random.Generator) -> list[Vehicle]:
+def spawn(cfg: RoadConfig, itsg5_fraction: float, rng: np.random.Generator) -> Fleet:
     """Place vehicles uniformly on the road and assign technologies.
 
     Vehicle count is density * length rounded half away from zero; exactly
@@ -79,15 +70,9 @@ def spawn(cfg: RoadConfig, itsg5_fraction: float, rng: np.random.Generator) -> l
     n_lanes = 2 * cfg.lanes_per_direction
     positions = rng.uniform(0.0, cfg.length_m, size=n)
     lanes = rng.integers(0, n_lanes, size=n)
-    n_g5 = itsg5_count(n, itsg5_fraction)
-    g5_ids = set(rng.permutation(n)[:n_g5].tolist())
-    vehicles = []
-    for i in range(n):
-        lane = int(lanes[i])
-        direction = Direction.FORWARD if lane < cfg.lanes_per_direction else Direction.BACKWARD
-        tech = Tech.ITSG5 if i in g5_ids else Tech.LTEV2X
-        vehicles.append(Vehicle(lane, float(positions[i]), direction, tech))
-    return vehicles
+    is_lte = np.ones(n, dtype=bool)
+    is_lte[rng.permutation(n)[:itsg5_count(n, itsg5_fraction)]] = False
+    return Fleet(positions, lanes, is_lte)
 
 
 def advance_positions(

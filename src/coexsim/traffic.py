@@ -7,8 +7,6 @@ from enum import Enum
 
 import numpy as np
 
-from .scenario import Tech
-
 
 class TrafficMode(str, Enum):
     STANDARD = "standard"
@@ -35,18 +33,12 @@ class TrafficConfig:
         return errors
 
 
-@dataclass(frozen=True)
-class Cam:
-    seq: int
-    t_gen_us: int
-
-
 def first_generation_us(cfg: TrafficConfig, rng: np.random.Generator) -> int:
     """Initial beacon phase, uniform over one base period."""
     return int(rng.uniform(0.0, cfg.base_period_ms * 1000.0))
 
 
-def station_period_us(tech: Tech, cfg: TrafficConfig, rng: np.random.Generator) -> int:
+def station_period_us(lte: bool, cfg: TrafficConfig, rng: np.random.Generator) -> int:
     """Beacon period for one station.
 
     Constrained mode locks every station to the base period. In standard mode
@@ -54,34 +46,34 @@ def station_period_us(tech: Tech, cfg: TrafficConfig, rng: np.random.Generator) 
     uniformly from base +/- jitter, modeling per-vehicle CAM-rate differences.
     """
     base_us = round(cfg.base_period_ms * 1000.0)
-    if cfg.mode is TrafficMode.CONSTRAINED or tech is Tech.LTEV2X:
+    if cfg.mode is TrafficMode.CONSTRAINED or lte:
         return base_us
     half_us = cfg.itsg5_jitter_ms * 1000.0
     return int(rng.uniform(base_us - half_us, base_us + half_us))
 
 
 class CamSource:
-    """Beacon generator for one vehicle.
+    """Beacon generators of every node in a run.
 
-    `next_time_us` is the absolute instant of the next generation; the engine
-    fires it and calls `generate`, which returns the CAM and re-arms the timer.
+    A CAM is its generation time in us. Per node, `next_time_us` is the
+    absolute instant of the next generation; the engine fires it and calls
+    `generate`, which re-arms the node's timer and returns its new time. All
+    times are Python ints, so they can enter heap keys.
     """
 
-    def __init__(self, tech: Tech, cfg: TrafficConfig, rng: np.random.Generator):
-        self.tech = tech
+    def __init__(self, is_lte, cfg: TrafficConfig, rng: np.random.Generator):
         self.cfg = cfg
         self._rng = rng
-        self._redraw = (cfg.per_packet_jitter
-                        and cfg.mode is TrafficMode.STANDARD
-                        and tech is Tech.ITSG5)
-        self.period_us = station_period_us(tech, cfg, rng)
-        self.next_time_us = first_generation_us(cfg, rng)
-        self.seq = 0
+        self.period_us: list[int] = []
+        self.next_time_us: list[int] = []
+        for lte in is_lte:
+            self.period_us.append(station_period_us(bool(lte), cfg, rng))
+            self.next_time_us.append(first_generation_us(cfg, rng))
+        jittered = cfg.per_packet_jitter and cfg.mode is TrafficMode.STANDARD
+        self._redraw = [jittered and not lte for lte in is_lte]
 
-    def generate(self, now_us: int) -> Cam:
-        cam = Cam(self.seq, now_us)
-        self.seq += 1
-        if self._redraw:
-            self.period_us = station_period_us(self.tech, self.cfg, self._rng)
-        self.next_time_us = now_us + self.period_us
-        return cam
+    def generate(self, node: int, now_us: int) -> int:
+        if self._redraw[node]:
+            self.period_us[node] = station_period_us(False, self.cfg, self._rng)
+        self.next_time_us[node] = now_us + self.period_us[node]
+        return self.next_time_us[node]

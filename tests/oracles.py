@@ -19,24 +19,22 @@ from coexsim.engine import EV_SLOT, Simulation
 from coexsim.mac_itsg5 import cca_busy
 from coexsim.mac_ltev2x import TTI_US
 from coexsim.results import CSV_HEADER
-from coexsim.scenario import RoadConfig, Vehicle
-from coexsim.traffic import Cam
+from coexsim.scenario import RoadConfig
 
 
-def advance(vehicles: list[Vehicle], cfg: RoadConfig, dt_s: float) -> None:
-    """Move each vehicle in place by dt_s seconds, wrapping around the ring."""
+def advance(pos_m: float, sign: int, cfg: RoadConfig, dt_s: float) -> float:
+    """One vehicle's position after dt_s seconds in direction sign (+1 or -1),
+    wrapping around the ring."""
     if dt_s < 0:
         raise ValueError("dt_s must be >= 0")
-    for v in vehicles:
-        wrapped = np.mod(v.pos_m + v.direction.value * cfg.speed_mps * dt_s, cfg.length_m)
-        v.pos_m = float(wrapped) if wrapped < cfg.length_m else 0.0
+    wrapped = (pos_m + sign * cfg.speed_mps * dt_s) % cfg.length_m
+    return wrapped if wrapped < cfg.length_m else 0.0
 
 
-def distance_m(a: Vehicle, b: Vehicle, lane_width_m: float = 4.0) -> float:
+def distance_m(pos_a: float, lane_a: int, pos_b: float, lane_b: int,
+               lane_width_m: float = 4.0) -> float:
     """Euclidean distance on the unwrapped line (mobility wraps, geometry does not)."""
-    dx = a.pos_m - b.pos_m
-    dy = (a.lane_index - b.lane_index) * lane_width_m
-    return math.hypot(dx, dy)
+    return math.hypot(pos_a - pos_b, (lane_a - lane_b) * lane_width_m)
 
 
 def read_csv(path) -> list[dict]:
@@ -164,14 +162,14 @@ class ContinuousLte(Simulation):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        for i in self.lte_ids:
-            self._push(0, EV_SLOT, (int(i), 0))
+        for i in self.lte_ids.tolist():
+            self._push(0, EV_SLOT, i)
 
     def _on_cam(self, node: int, t_us: int) -> None:
         if not self.is_lte[node]:
             super()._on_cam(node, t_us)
 
-    def _on_slot(self, node: int, seq: int, t_us: int) -> None:
-        self.lte_pending[node] = Cam(seq, t_us)
-        super()._on_slot(node, seq, t_us)
-        self._push(t_us + TTI_US, EV_SLOT, (node, seq + 1))
+    def _on_slot(self, node: int, t_us: int) -> None:
+        self.lte_pending[node] = t_us
+        super()._on_slot(node, t_us)
+        self._push(t_us + TTI_US, EV_SLOT, node)

@@ -22,7 +22,7 @@ from coexsim.engine import EngineConfig, Simulation
 from coexsim.harness import ExperimentConfig, run_experiment, run_seed
 from coexsim.mac_ltev2x import SensingHistory, SpsConfig, SpsScheduler
 from coexsim.results import aggregate
-from coexsim.scenario import Direction, RoadConfig, Tech, Vehicle
+from coexsim.scenario import Fleet, RoadConfig
 from coexsim.traffic import TrafficMode
 
 from oracles import ContinuousLte, SpsCounts, record_cca, record_selections
@@ -164,12 +164,10 @@ def test_no_transmission_without_full_idle_window():
 
 
 def test_saturating_lte_neighbor_blocks_csma():
-    vehicles = [
-        Vehicle(0, 0.0, Direction.FORWARD, Tech.ITSG5),
-        Vehicle(0, 10.0, Direction.FORWARD, Tech.LTEV2X),
-    ]
+    fleet = Fleet(pos_m=np.array([0.0, 10.0]), lane=np.array([0, 0]),
+                  is_lte=np.array([False, True]))
     cfg = EngineConfig(warm_up_s=0.0, measure_s=10.0)
-    log = ContinuousLte(cfg, seed=1, vehicles=vehicles).run()
+    log = ContinuousLte(cfg, seed=1, fleet=fleet).run()
     c = log.counters
     ok = c["tx_itsg5"] == 0 and c["cams_generated"] >= 90
     assert report("saturated-channel blocking", ok,
@@ -198,9 +196,9 @@ def test_sps_selections_stay_in_best_fifth():
 
 
 def test_sps_tie_breaking_is_uniform():
-    noise_mw = 10 ** (-98.0 / 10.0)
-    sched = SpsScheduler(1, 100, SpsConfig(), SensingHistory(1, noise_mw),
-                         np.random.default_rng(2))
+    cfg = SpsConfig()
+    history = SensingHistory(1, 10 ** (-98.0 / 10.0), cfg.sensing_window_ttis)
+    sched = SpsScheduler(1, 100, cfg, history, np.random.default_rng(2))
     counts = np.zeros(100, dtype=int)
     trials = 10_000
     for _ in range(trials):
@@ -250,9 +248,9 @@ def test_repeat_execution_byte_identical(tmp_path):
 
 
 def test_reselection_interval_statistics():
-    noise_mw = 10 ** (-98.0 / 10.0)
-    sched = SpsScheduler(1, 100, SpsConfig(), SensingHistory(1, noise_mw),
-                         np.random.default_rng(3))
+    cfg = SpsConfig()
+    history = SensingHistory(1, 10 ** (-98.0 / 10.0), cfg.sensing_window_ttis)
+    sched = SpsScheduler(1, 100, cfg, history, np.random.default_rng(3))
     counts = SpsCounts(sched)
     now = 0
     sched.on_generation(0, now)

@@ -1,6 +1,8 @@
 """Event engine integration: determinism, accounting, sensing, reception."""
 
+import gc
 import heapq
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,8 +15,8 @@ from coexsim.channel import ShadowingConfig, path_loss_db, rx_power_mw
 from coexsim.engine import Simulation
 from coexsim.mac_itsg5 import CsmaConfig, Phase, airtime_us
 from coexsim.mac_ltev2x import OCCUPIED_US, TTI_US, SpsConfig
-from coexsim.scenario import Direction, RoadConfig, Tech, Vehicle
-from coexsim.traffic import Cam, TrafficConfig, TrafficMode
+from coexsim.scenario import Fleet, RoadConfig
+from coexsim.traffic import TrafficConfig, TrafficMode
 
 from conftest import small_engine_config
 from oracles import AllCcaEdges, ContinuousLte, record_cca
@@ -22,11 +24,15 @@ from oracles import AllCcaEdges, ContinuousLte, record_cca
 NO_SHADOW = ShadowingConfig(sigma_db=0.0)
 
 
-def two_vehicles(d_m=100.0, techs=(Tech.ITSG5, Tech.ITSG5)):
-    return [
-        Vehicle(0, 0.0, Direction.FORWARD, techs[0]),
-        Vehicle(0, d_m, Direction.FORWARD, techs[1]),
-    ]
+def lane_zero(pos_m, is_lte=None):
+    """Vehicles in lane 0 (driving forward) at pos_m, all ITS-G5 unless is_lte says."""
+    n = len(pos_m)
+    return Fleet(np.array(pos_m, dtype=float), np.zeros(n, dtype=int),
+                 np.array(is_lte if is_lte is not None else [False] * n, dtype=bool))
+
+
+def two_vehicles(d_m=100.0, is_lte=(False, False)):
+    return lane_zero([0.0, d_m], is_lte)
 
 
 def test_event_kind_ordering():
@@ -193,10 +199,10 @@ def test_mixed_run_populates_reservations():
 
 def test_second_start_of_an_active_transmitter_is_an_error():
     cfg = small_engine_config(itsg5_fraction=1.0)
-    sim = Simulation(cfg, seed=1, vehicles=two_vehicles())
-    sim._begin_tx(0, Cam(0, 0), 0, lte=False)
+    sim = Simulation(cfg, seed=1, fleet=two_vehicles())
+    sim._begin_tx(0, 0, 0, lte=False)
     with pytest.raises(RuntimeError, match="already transmitting"):
-        sim._begin_tx(0, Cam(1, 0), 100, lte=False)
+        sim._begin_tx(0, 0, 100, lte=False)
 
 
 def test_event_in_the_past_is_an_error():
@@ -216,7 +222,7 @@ def test_weak_reservation_is_not_recorded():
                               warm_up_s=0.0, measure_s=1.0)
     for d_m, recorded in ((500.0, True), (1500.0, False)):
         sim = Simulation(cfg, seed=5,
-                         vehicles=two_vehicles(d_m, (Tech.LTEV2X, Tech.LTEV2X)))
+                         fleet=two_vehicles(d_m, (True, True)))
         sim.run()
         assert sim.counters["tx_ltev2x"] > 0
         assert (sim.sps.resv_offset[[0, 1], [1, 0]] >= 0).all() == recorded
@@ -226,7 +232,7 @@ def test_half_duplex_receiver_records_no_reservation():
     # Both nodes transmit in every TTI, so neither ever decodes the other.
     cfg = small_engine_config(itsg5_fraction=0.0, shadowing=NO_SHADOW,
                               measure_s=0.5)
-    sim = ContinuousLte(cfg, seed=5, vehicles=two_vehicles(50.0, (Tech.LTEV2X, Tech.LTEV2X)))
+    sim = ContinuousLte(cfg, seed=5, fleet=two_vehicles(50.0, (True, True)))
     sim.run()
     assert sim.counters["tx_ltev2x"] > 0
     assert (sim.sps.resv_offset == -1).all()
@@ -235,11 +241,25 @@ def test_half_duplex_receiver_records_no_reservation():
 def test_node_never_records_its_own_reservation():
     # rx_mw has a zero diagonal, so a transmitter never passes the decode filter.
     cfg = small_engine_config(itsg5_fraction=0.0, shadowing=NO_SHADOW, measure_s=1.0)
-    sim = Simulation(cfg, seed=5, vehicles=two_vehicles(100.0, (Tech.LTEV2X, Tech.LTEV2X)))
+    sim = Simulation(cfg, seed=5, fleet=two_vehicles(100.0, (True, True)))
     sim.run()
     resv = sim.sps.resv_offset
     assert resv[0, 1] >= 0 and resv[1, 0] >= 0
     assert resv[0, 0] == -1 and resv[1, 1] == -1
+
+
+def test_finished_run_is_freed_without_the_cycle_collector():
+    # Each CsmaMac refers back to its Simulation; run() breaks that cycle, so
+    # a finished run is freed as soon as its last reference goes.
+    sim = Simulation(small_engine_config(itsg5_fraction=0.5), seed=1)
+    sim.run()
+    ref = weakref.ref(sim)
+    gc.disable()
+    try:
+        del sim
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_mobility_moves_vehicles_and_updates_shadowing():
@@ -251,10 +271,19 @@ def test_mobility_moves_vehicles_and_updates_shadowing():
     assert not np.allclose(sim.shadow.values_db, s0)
 
 
+def test_lanes_below_lanes_per_direction_drive_forward():
+    # The engine derives each node's direction from its lane, as spawn does.
+    fleet = Fleet(np.array([100.0, 100.0]), np.array([2, 3]), np.array([False, False]))
+    sim = Simulation(small_engine_config(), seed=1, fleet=fleet)
+    sim._on_mobility(100_000)
+    step = sim.cfg.road.speed_mps * 0.1
+    assert sim.pos.tolist() == pytest.approx([100.0 + step, 100.0 - step])
+
+
 def test_isolated_pair_with_margin_decodes_every_packet():
     # 100 m, no shadowing, no interferers: SINR is 27 dB on every reception.
     cfg = small_engine_config(itsg5_fraction=1.0, shadowing=NO_SHADOW)
-    log = eng.run(cfg, seed=5, vehicles=two_vehicles())
+    log = eng.run(cfg, seed=5, fleet=two_vehicles())
     c = log.counters
     assert c["rx_opportunities"] > 0
     assert c["rx_success"] == c["rx_opportunities"]
@@ -264,12 +293,23 @@ def test_isolated_pair_with_margin_decodes_every_packet():
     assert h.opportunities.sum() == h.opportunities[0, 10]
 
 
+def test_transmitter_is_never_its_own_receiver():
+    # An infinite relevance margin (no relevance filter) is a valid config; its
+    # 0 mW relevance floor admits the transmitter's own zero rx_mw entry too.
+    cfg = small_engine_config(road=RoadConfig(length_m=20_000.0), itsg5_fraction=1.0,
+                              relevance_margin_db=float("inf"))
+    assert cfg.validate() == []
+    log = eng.run(cfg, seed=5, fleet=two_vehicles(d_m=1000.0))
+    assert log.counters["counted_tx"] > 0
+    assert log.counters["rx_opportunities"] == 0
+
+
 def test_below_noise_link_yields_no_opportunities():
     road = RoadConfig(length_m=20_000.0, density_veh_per_km=1.0)
     cfg = small_engine_config(road=road, itsg5_fraction=1.0,
                               shadowing=NO_SHADOW, max_distance_m=20_000.0,
                               bin_width_m=100.0)
-    log = eng.run(cfg, seed=5, vehicles=two_vehicles(d_m=10_000.0))
+    log = eng.run(cfg, seed=5, fleet=two_vehicles(d_m=10_000.0))
     assert log.counters["counted_tx"] > 0
     assert log.counters["rx_opportunities"] == 0
 
@@ -278,7 +318,7 @@ def test_continuous_lte_pair_always_half_duplex():
     cfg = small_engine_config(itsg5_fraction=0.0, shadowing=NO_SHADOW,
                               measure_s=1.0)
     log = ContinuousLte(cfg, seed=5,
-                        vehicles=two_vehicles(50.0, (Tech.LTEV2X, Tech.LTEV2X))).run()
+                        fleet=two_vehicles(50.0, (True, True))).run()
     c = log.counters
     assert c["tx_ltev2x"] >= 2 * 1000
     assert c["rx_opportunities"] > 0
@@ -287,16 +327,12 @@ def test_continuous_lte_pair_always_half_duplex():
 
 
 def test_concurrent_power_sums_and_two_tier_sensing():
-    vehicles = [
-        Vehicle(0, 0.0, Direction.FORWARD, Tech.ITSG5),
-        Vehicle(0, 200.0, Direction.FORWARD, Tech.ITSG5),
-        Vehicle(0, 100.0, Direction.FORWARD, Tech.ITSG5),
-    ]
+    fleet = lane_zero([0.0, 200.0, 100.0])
     cfg = small_engine_config(itsg5_fraction=1.0, shadowing=NO_SHADOW)
-    sim = Simulation(cfg, seed=1, vehicles=vehicles)
+    sim = Simulation(cfg, seed=1, fleet=fleet)
     assert not sim.busy.any()
-    sim._begin_tx(0, Cam(0, 0), 0, lte=False)
-    sim._begin_tx(1, Cam(0, 0), 0, lte=False)
+    sim._begin_tx(0, 0, 0, lte=False)
+    sim._begin_tx(1, 0, 0, lte=False)
     # Middle node hears both 100 m neighbours at about -71 dBm each.
     per_link = rx_power_mw(path_loss_db(100.0, cfg.link), 0.0, cfg.link)
     assert sim.power_mw[2] == pytest.approx(2 * per_link, rel=1e-9)
@@ -310,14 +346,11 @@ def test_concurrent_power_sums_and_two_tier_sensing():
 
 
 def test_energy_only_sensing_ignores_sub_threshold_preambles():
-    vehicles = [
-        Vehicle(0, 0.0, Direction.FORWARD, Tech.ITSG5),
-        Vehicle(0, 100.0, Direction.FORWARD, Tech.ITSG5),
-    ]
+    fleet = two_vehicles()
     cfg = small_engine_config(itsg5_fraction=1.0, shadowing=NO_SHADOW)
     cfg.csma.preamble_threshold_dbm = None
-    sim = Simulation(cfg, seed=1, vehicles=vehicles)
-    sim._begin_tx(0, Cam(0, 0), 0, lte=False)
+    sim = Simulation(cfg, seed=1, fleet=fleet)
+    sim._begin_tx(0, 0, 0, lte=False)
     assert not sim.busy[1]  # -71 dBm is below the energy gate
 
 
@@ -367,10 +400,10 @@ def test_all_itsg5_run_keeps_no_sensing_history():
 def test_sensed_rssi_averages_burst_over_occupied_symbols():
     # One 512 us burst at -71 dBm inside a TTI: the sidelink RSSI average is
     # power * 512/929 plus the noise floor.
-    vehicles = two_vehicles(100.0, (Tech.ITSG5, Tech.LTEV2X))
+    fleet = two_vehicles(100.0, (False, True))
     cfg = small_engine_config(itsg5_fraction=0.5, shadowing=NO_SHADOW,
                               warm_up_s=0.0, measure_s=2.0)
-    sim = Simulation(cfg, seed=9, vehicles=vehicles)
+    sim = Simulation(cfg, seed=9, fleet=fleet)
     _, starts = record_cca(sim)
     sim.run()
     rx_mw = rx_power_mw(path_loss_db(100.0, cfg.link), 0.0, cfg.link)
@@ -407,10 +440,10 @@ def test_selection_sees_every_ended_tti_and_no_open_one():
 
 
 def test_noise_only_ttis_sense_the_noise_floor():
-    vehicles = two_vehicles(100.0, (Tech.LTEV2X, Tech.LTEV2X))
+    fleet = two_vehicles(100.0, (True, True))
     cfg = small_engine_config(itsg5_fraction=0.0, shadowing=NO_SHADOW,
                               warm_up_s=0.0, measure_s=1.0)
-    sim = Simulation(cfg, seed=3, vehicles=vehicles)
+    sim = Simulation(cfg, seed=3, fleet=fleet)
     sim.run()
     h = sim.history
     quiet = ~h.blind[: h.last_finalized_tti + 1, 0]
@@ -421,22 +454,18 @@ def test_noise_only_ttis_sense_the_noise_floor():
 
 
 def test_interference_energy_counts_only_the_overlap():
-    vehicles = [
-        Vehicle(0, 0.0, Direction.FORWARD, Tech.ITSG5),
-        Vehicle(0, 200.0, Direction.FORWARD, Tech.ITSG5),
-        Vehicle(0, 100.0, Direction.FORWARD, Tech.ITSG5),
-    ]
+    fleet = lane_zero([0.0, 200.0, 100.0])
     cfg = small_engine_config(itsg5_fraction=1.0, shadowing=NO_SHADOW)
-    sim = Simulation(cfg, seed=1, vehicles=vehicles)
-    sim._begin_tx(0, Cam(0, 0), 0, lte=False)
-    sim._begin_tx(1, Cam(0, 0), 256, lte=False)
+    sim = Simulation(cfg, seed=1, fleet=fleet)
+    sim._begin_tx(0, 0, 0, lte=False)
+    sim._begin_tx(1, 0, 256, lte=False)
     first, second = sim.active[0], sim.active[1]
     sim._end_tx(first, 512)
     # Each 512 us frame overlapped the other for 256 us: fraction one half.
     assert first.interf_mw_us[2] == pytest.approx(second.rx_mw[2] * 256, rel=1e-12)
     assert second.interf_mw_us[2] == pytest.approx(first.rx_mw[2] * 256, rel=1e-12)
     # A frame starting at the instant another ends overlaps it for zero time.
-    sim._begin_tx(0, Cam(1, 0), 768, lte=False)
+    sim._begin_tx(0, 0, 768, lte=False)
     third = sim.active[0]
     sim._end_tx(second, 768)
     assert not third.interf_mw_us.any()

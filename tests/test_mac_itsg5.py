@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coexsim.mac_itsg5 import CsmaConfig, CsmaMac, Phase, airtime_us, cca_busy
-from coexsim.traffic import Cam
 
 CFG = CsmaConfig()
 
@@ -47,10 +46,6 @@ class ScriptedRng:
         v = self.backoffs.pop(0)
         assert lo <= v < hi
         return v
-
-
-def cam(seq=0):
-    return Cam(seq, 0)
 
 
 def test_airtime_values():
@@ -111,11 +106,11 @@ def test_config_validation():
 def test_idle_channel_transmits_after_aifs_without_backoff():
     air = FakeAirlink(busy=False)
     mac = CsmaMac(0, CFG, ScriptedRng(), air)  # any backoff draw would raise
-    mac.on_packet_ready(cam(), 0)
+    mac.on_packet_ready(0, 0)
     due, token = air.timers[-1]
     assert due == 110
     mac.on_timer(110, token)
-    assert air.txs == [(110, cam())]
+    assert air.txs == [(110, 0)]
     assert mac.phase is Phase.TX
 
 
@@ -125,7 +120,7 @@ def test_busy_arrival_defers_then_counts_down_with_freeze():
     air = FakeAirlink(busy=True)
     mac = CsmaMac(0, CFG, ScriptedRng([5]), air)
     assert air.masks() == (False, False)
-    mac.on_packet_ready(cam(), 0)
+    mac.on_packet_ready(0, 0)
     assert mac.phase is Phase.DEFER
     assert air.masks() == (False, True)
     assert air.timers == []
@@ -163,7 +158,7 @@ def test_busy_arrival_defers_then_counts_down_with_freeze():
     due, t4 = air.timers[-1]
     assert due == 2110 + 3 * 13
     mac.on_timer(due, t4)
-    assert air.txs == [(2149, cam())]
+    assert air.txs == [(2149, 0)]
     assert mac.phase is Phase.TX
     assert air.masks() == (False, False)
     mac.on_tx_complete(2661)
@@ -174,19 +169,19 @@ def test_busy_arrival_defers_then_counts_down_with_freeze():
 def test_busy_starting_exactly_at_window_end_does_not_cancel():
     air = FakeAirlink(busy=False)
     mac = CsmaMac(0, CFG, ScriptedRng(), air)
-    mac.on_packet_ready(cam(), 0)
+    mac.on_packet_ready(0, 0)
     due, token = air.timers[-1]
     air.busy = True
     mac.on_busy(due)  # onset at the exact AIFS completion instant
     assert mac.phase is Phase.AIFS
     mac.on_timer(due, token)
-    assert air.txs == [(110, cam())]
+    assert air.txs == [(110, 0)]
 
 
 def test_busy_during_aifs_restarts_sensing():
     air = FakeAirlink(busy=False)
     mac = CsmaMac(0, CFG, ScriptedRng([0]), air)
-    mac.on_packet_ready(cam(), 0)
+    mac.on_packet_ready(0, 0)
     _, t1 = air.timers[-1]
     air.busy = True
     mac.on_busy(50)
@@ -199,40 +194,55 @@ def test_busy_during_aifs_restarts_sensing():
     assert due == 310
     # Zero drawn backoff: AIFS completion transmits directly.
     mac.on_timer(310, t2)
-    assert air.txs == [(310, cam())]
+    assert air.txs == [(310, 0)]
 
 
 def test_queue_depth_one_replaces_and_counts_drop():
     air = FakeAirlink(busy=False)
     mac = CsmaMac(0, CFG, ScriptedRng(), air)
-    mac.on_packet_ready(cam(0), 0)
-    mac.on_packet_ready(cam(1), 50)
+    mac.on_packet_ready(0, 0)
+    mac.on_packet_ready(50, 50)
     assert mac.drops == 1
     due, token = air.timers[-1]
     mac.on_timer(due, token)
-    assert air.txs == [(110, cam(1))]
+    assert air.txs == [(110, 50)]
+
+
+def test_cam_generated_at_zero_is_held_while_busy():
+    # A CAM is its generation time, so the one generated at 0 us is falsy;
+    # it is still pending, and the next CAM replaces it as a drop.
+    air = FakeAirlink(busy=True)
+    mac = CsmaMac(0, CFG, ScriptedRng(), air)
+    mac.on_packet_ready(0, 0)
+    assert mac.phase is Phase.DEFER
+    assert mac.pending == 0 and mac.pending is not None
+    assert mac.drops == 0
+    mac.on_packet_ready(100_000, 100_000)
+    assert mac.drops == 1
+    assert mac.pending == 100_000
+    assert air.txs == []
 
 
 def test_packet_queued_during_tx_starts_after_completion():
     air = FakeAirlink(busy=False)
     mac = CsmaMac(0, CFG, ScriptedRng(), air)
-    mac.on_packet_ready(cam(0), 0)
+    mac.on_packet_ready(0, 0)
     due, token = air.timers[-1]
     mac.on_timer(due, token)
     assert mac.phase is Phase.TX
-    mac.on_packet_ready(cam(1), 300)
+    mac.on_packet_ready(300, 300)
     assert mac.drops == 0
     mac.on_tx_complete(622)
     due, token = air.timers[-1]
     assert due == 622 + 110
     mac.on_timer(due, token)
-    assert air.txs[-1] == (732, cam(1))
+    assert air.txs[-1] == (732, 300)
 
 
 def test_tx_complete_with_empty_queue_goes_idle():
     air = FakeAirlink(busy=False)
     mac = CsmaMac(0, CFG, ScriptedRng(), air)
-    mac.on_packet_ready(cam(), 0)
+    mac.on_packet_ready(0, 0)
     due, token = air.timers[-1]
     mac.on_timer(due, token)
     mac.on_tx_complete(622)
@@ -244,7 +254,7 @@ def test_backoff_draw_range(rng):
     for _ in range(200):
         air = FakeAirlink(busy=True)
         mac = CsmaMac(0, CFG, rng, air)
-        mac.on_packet_ready(cam(), 0)
+        mac.on_packet_ready(0, 0)
         air.busy = False
         mac.on_idle(1000)
         assert 0 <= mac.backoff_slots <= 15

@@ -16,11 +16,12 @@ from conftest import small_engine_config
 from oracles import SpsCounts
 
 NOISE_MW = 10 ** (-98.0 / 10.0)
+WINDOW_TTIS = SpsConfig().sensing_window_ttis
 
 
 def flat_history(n_nodes=1) -> SensingHistory:
     # Nothing finalized: every lag falls back to the noise floor, no blindness.
-    return SensingHistory(n_nodes, NOISE_MW)
+    return SensingHistory(n_nodes, NOISE_MW, WINDOW_TTIS)
 
 
 def make_scheduler(rng=None, cfg=None, history=None) -> SpsScheduler:
@@ -88,7 +89,7 @@ def test_sps_config_validation():
 
 
 def test_sensing_history_stores_per_tti_rows():
-    h = SensingHistory(1, NOISE_MW)
+    h = SensingHistory(1, NOISE_MW, WINDOW_TTIS)
     for t in range(1501):
         h.finalize(t, np.array([float(t)]), np.array([t % 100 == 7]))
     vals, blind = h.lag_views(np.array([1500]), 0, n_lags=3, lag_step=100)
@@ -99,7 +100,7 @@ def test_sensing_history_stores_per_tti_rows():
 
 
 def test_sensing_history_fallback_outside_window():
-    h = SensingHistory(1, NOISE_MW)
+    h = SensingHistory(1, NOISE_MW, WINDOW_TTIS)
     h.finalize(0, np.array([1e-3]), np.array([True]))
     # Lag before time zero and lag beyond the last finalized TTI.
     vals, blind = h.lag_views(np.array([50, 300]), 0, n_lags=1, lag_step=100)
@@ -121,7 +122,7 @@ def test_select_resource_window_and_bookkeeping():
 
 
 def test_high_rssi_candidate_is_never_picked():
-    h = SensingHistory(1, NOISE_MW)
+    h = SensingHistory(1, NOISE_MW, WINDOW_TTIS)
     hot = 10 ** (-60.0 / 10.0)
     for t in range(1000):
         val = hot if t % 100 == 37 else NOISE_MW
@@ -134,7 +135,7 @@ def test_high_rssi_candidate_is_never_picked():
 
 
 def test_blind_candidate_is_excluded_from_pool():
-    h = SensingHistory(1, NOISE_MW)
+    h = SensingHistory(1, NOISE_MW, WINDOW_TTIS)
     for t in range(1000):
         h.finalize(t, np.array([NOISE_MW]), np.array([t % 100 == 37]))
     sel = make_scheduler(history=h).select_resource(0, 999)

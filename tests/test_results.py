@@ -9,7 +9,6 @@ from coexsim.results import (
     CSV_HEADER,
     PLOT_SCRIPT_NAME,
     Aggregate,
-    TECH_INDEX,
     PrrHistogram,
     aggregate,
     csv_filename,
@@ -17,14 +16,15 @@ from coexsim.results import (
     write_csv,
     write_plot_script,
 )
-from coexsim.scenario import Tech
 
 from oracles import read_csv
+
+ITSG5, LTEV2X = 0, 1  # histogram rows, as the engine records them
 
 
 def record(h, tech, distances, successes):
     """Record through the engine's path: one technology, arrays of receivers."""
-    h.record_many(TECH_INDEX[tech], np.array(distances, dtype=float),
+    h.record_many(tech, np.array(distances, dtype=float),
                   np.array(successes, dtype=bool))
 
 
@@ -37,29 +37,29 @@ def hist_with(tech, pairs):
 
 def test_record_bins_are_lower_inclusive():
     h = PrrHistogram()
-    record(h, Tech.ITSG5, [95.0], [True])
+    record(h, ITSG5, [95.0], [True])
     assert h.opportunities[0, 9] == 1
-    record(h, Tech.ITSG5, [100.0], [True])
+    record(h, ITSG5, [100.0], [True])
     assert h.opportunities[0, 10] == 1
-    record(h, Tech.ITSG5, [0.0], [False])
+    record(h, ITSG5, [0.0], [False])
     assert h.opportunities[0, 0] == 1
 
 
 def test_record_ignores_beyond_max_distance():
     h = PrrHistogram()
-    record(h, Tech.LTEV2X, [500.0, 1234.0], [True, True])
+    record(h, LTEV2X, [500.0, 1234.0], [True, True])
     assert h.opportunities.sum() == 0
 
 
 def test_record_rejects_negative_distance():
     h = PrrHistogram()
     with pytest.raises(ValueError):
-        record(h, Tech.ITSG5, [10.0, -1.0], [True, True])
+        record(h, ITSG5, [10.0, -1.0], [True, True])
     assert h.opportunities.sum() == 0
 
 
 def test_prr_example_bin():
-    h = hist_with(Tech.ITSG5, [(95.0, i < 9) for i in range(10)])
+    h = hist_with(ITSG5, [(95.0, i < 9) for i in range(10)])
     assert h.prr()[0, 9] == pytest.approx(0.9)
 
 
@@ -100,7 +100,7 @@ def test_merge_rejects_binning_mismatch():
 
 
 def test_bin_edges(tmp_path):
-    h = hist_with(Tech.ITSG5, [(10.0, True)])
+    h = hist_with(ITSG5, [(10.0, True)])
     assert h.n_bins == 50
     write_csv(aggregate([h]), tmp_path / "out.csv")
     rows = read_csv(tmp_path / "out.csv")
@@ -117,7 +117,7 @@ def test_bin_edges(tmp_path):
 def test_merge_is_order_independent(counts):
     hs = [PrrHistogram() for _ in range(3)]
     for d, ok, which in counts:
-        record(hs[which], Tech.ITSG5, [d], [ok])
+        record(hs[which], ITSG5, [d], [ok])
 
     def merged(*parts):
         out = PrrHistogram()
@@ -136,21 +136,21 @@ def test_merge_is_order_independent(counts):
 
 
 def test_aggregate_pools_and_spreads():
-    r1 = hist_with(Tech.ITSG5, [(95.0, i < 8) for i in range(10)])   # 0.8
-    r2 = hist_with(Tech.ITSG5, [(95.0, True) for _ in range(10)])    # 1.0
+    r1 = hist_with(ITSG5, [(95.0, i < 8) for i in range(10)])   # 0.8
+    r2 = hist_with(ITSG5, [(95.0, True) for _ in range(10)])    # 1.0
     agg = aggregate([r1, r2])
     assert agg.n_runs == 2
     assert agg.prr[0, 9] == pytest.approx(0.9)          # pooled 18/20
     assert agg.std_prr[0, 9] == pytest.approx(np.std([0.8, 1.0], ddof=1))
     # The spread is taken about the per-run mean (0.9), not the pooled 10/12.
-    r3 = hist_with(Tech.ITSG5, [(95.0, True) for _ in range(2)])     # 1.0
+    r3 = hist_with(ITSG5, [(95.0, True) for _ in range(2)])     # 1.0
     agg = aggregate([r1, r3])
     assert agg.prr[0, 9] == pytest.approx(10 / 12)
     assert agg.std_prr[0, 9] == pytest.approx(np.std([0.8, 1.0], ddof=1))
 
 
 def test_aggregate_identical_runs_has_zero_std():
-    runs = [hist_with(Tech.ITSG5, [(55.0, True)] * 5) for _ in range(4)]
+    runs = [hist_with(ITSG5, [(55.0, True)] * 5) for _ in range(4)]
     agg = aggregate(runs)
     assert agg.std_prr[0, 5] == 0.0
 
@@ -168,7 +168,7 @@ def test_csv_filename():
 
 
 def test_write_csv_header_and_roundtrip(tmp_path):
-    agg = aggregate([hist_with(Tech.ITSG5, [(95.0, i < 9) for i in range(10)])])
+    agg = aggregate([hist_with(ITSG5, [(95.0, i < 9) for i in range(10)])])
     path = tmp_path / "out.csv"
     write_csv(agg, path)
     first = path.read_text().splitlines()[0]
@@ -184,7 +184,7 @@ def test_write_csv_header_and_roundtrip(tmp_path):
 
 
 def test_write_csv_empty_bins_have_empty_prr(tmp_path):
-    agg = aggregate([hist_with(Tech.LTEV2X, [(10.0, True)])])
+    agg = aggregate([hist_with(LTEV2X, [(10.0, True)])])
     path = tmp_path / "out.csv"
     write_csv(agg, path)
     lines = path.read_text().splitlines()
@@ -194,7 +194,7 @@ def test_write_csv_empty_bins_have_empty_prr(tmp_path):
 
 
 def test_write_csv_is_deterministic(tmp_path):
-    agg = aggregate([hist_with(Tech.ITSG5, [(d, d < 200) for d in
+    agg = aggregate([hist_with(ITSG5, [(d, d < 200) for d in
                                             np.linspace(5, 495, 50)])])
     write_csv(agg, tmp_path / "a.csv")
     write_csv(agg, tmp_path / "b.csv")
@@ -202,7 +202,7 @@ def test_write_csv_is_deterministic(tmp_path):
 
 
 def test_write_csv_reports_path_on_failure(tmp_path):
-    agg = aggregate([hist_with(Tech.ITSG5, [(10.0, True)])])
+    agg = aggregate([hist_with(ITSG5, [(10.0, True)])])
     missing = tmp_path / "no_such_dir" / "out.csv"
     with pytest.raises(OSError, match="no_such_dir"):
         write_csv(agg, missing)
@@ -226,7 +226,7 @@ def test_plot_script_is_valid_python(tmp_path):
 
 
 def test_summary_table_layout():
-    agg = aggregate([hist_with(Tech.ITSG5, [(55.0, True), (205.0, False)])])
+    agg = aggregate([hist_with(ITSG5, [(55.0, True), (205.0, False)])])
     table = summary_table({("standard", 1.0): agg, ("constrained", 0.5): agg})
     assert "PRR@100m" in table.splitlines()[0]
     assert any("standard" in l and "1.00" in l for l in table.splitlines())

@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 from coexsim.engine import EngineConfig
 from coexsim.scenario import (
-    Direction,
+    Fleet,
     RoadConfig,
-    Tech,
-    Vehicle,
     advance_positions,
     distance_matrix,
     itsg5_count,
@@ -55,22 +53,18 @@ def test_itsg5_count_matches_fraction_for_all_small_populations():
 
 def test_spawn_population_and_fields(rng):
     road = RoadConfig()
-    vehicles = spawn(road, 0.5, rng)
-    assert len(vehicles) == 123
-    g5 = sum(v.tech is Tech.ITSG5 for v in vehicles)
-    assert g5 == itsg5_count(123, 0.5) == 62
-    for v in vehicles:
-        assert 0.0 <= v.pos_m < road.length_m
-        assert 0 <= v.lane_index < 2 * road.lanes_per_direction
-        expected = Direction.FORWARD if v.lane_index < road.lanes_per_direction \
-            else Direction.BACKWARD
-        assert v.direction is expected
+    fleet = spawn(road, 0.5, rng)
+    assert isinstance(fleet, Fleet)
+    assert fleet.pos_m.shape == fleet.lane.shape == fleet.is_lte.shape == (123,)
+    assert fleet.is_lte.dtype == bool
+    assert (~fleet.is_lte).sum() == itsg5_count(123, 0.5) == 62
+    assert ((fleet.pos_m >= 0.0) & (fleet.pos_m < road.length_m)).all()
+    assert ((fleet.lane >= 0) & (fleet.lane < 2 * road.lanes_per_direction)).all()
 
 
 def test_spawn_spreads_positions(rng):
     road = RoadConfig()
-    vehicles = spawn(road, 1.0, rng)
-    pos = np.array([v.pos_m for v in vehicles])
+    pos = spawn(road, 1.0, rng).pos_m
     # Uniform placement: both road halves populated.
     assert (pos < road.length_m / 2).any()
     assert (pos >= road.length_m / 2).any()
@@ -79,7 +73,8 @@ def test_spawn_spreads_positions(rng):
 def test_spawn_zero_vehicles(rng):
     road = RoadConfig(length_m=100.0, density_veh_per_km=1.0)
     assert vehicle_count(road) == 0
-    assert spawn(road, 0.5, rng) == []
+    fleet = spawn(road, 0.5, rng)
+    assert fleet.pos_m.size == fleet.lane.size == fleet.is_lte.size == 0
 
 
 def move(pos_m, sign, dt_s):
@@ -127,16 +122,11 @@ def test_advance_positions_stay_on_road(pos, dt):
 
 def test_advance_positions_matches_scalar():
     road = RoadConfig()
-    vs = [
-        Vehicle(0, 1990.0, Direction.FORWARD, Tech.ITSG5),
-        Vehicle(5, 10.0, Direction.BACKWARD, Tech.LTEV2X),
-    ]
-    pos = np.array([v.pos_m for v in vs])
-    signs = np.array([v.direction.value for v in vs])
+    pos = np.array([1990.0, 10.0])
+    signs = np.array([1, -1])
     out = advance_positions(pos, signs, road.speed_mps, 2.5, road.length_m)
-    advance(vs, road, 2.5)
-    for v, got in zip(vs, out):
-        assert got == pytest.approx(v.pos_m, abs=1e-9)
+    for p, sign, got in zip(pos, signs, out):
+        assert got == pytest.approx(advance(p, sign, road, 2.5), abs=1e-9)
 
 
 def pair_distance(pos, lanes):
@@ -185,9 +175,8 @@ def test_distance_symmetry_and_triangle_inequality(data):
 
 def test_distance_matrix_matches_pairwise(rng):
     road = RoadConfig()
-    vehicles = spawn(road, 0.5, rng)[:15]
-    pos = np.array([v.pos_m for v in vehicles])
-    lanes = np.array([v.lane_index for v in vehicles])
+    fleet = spawn(road, 0.5, rng)
+    pos, lanes = fleet.pos_m[:15], fleet.lane[:15]
     mat = distance_matrix(pos, lanes, road.lane_width_m)
     assert mat.shape == (15, 15)
     assert np.allclose(mat, mat.T)
@@ -195,4 +184,4 @@ def test_distance_matrix_matches_pairwise(rng):
     for i in (0, 4, 9):
         for j in (2, 7, 14):
             assert mat[i, j] == pytest.approx(
-                distance_m(vehicles[i], vehicles[j], road.lane_width_m))
+                distance_m(pos[i], lanes[i], pos[j], lanes[j], road.lane_width_m))
