@@ -133,7 +133,7 @@ class TxRec:
     """
 
     __slots__ = ("tx", "lte", "t_gen_us", "start_us", "end_us", "rx_mw", "dist_m",
-                 "interf_mw_us", "halfdup")
+                 "interf_mw_us")
 
     def __init__(self, tx: int, lte: bool, t_gen_us: int, start_us: int, end_us: int,
                  rx_mw: np.ndarray, dist_m: np.ndarray, n: int):
@@ -145,7 +145,6 @@ class TxRec:
         self.rx_mw = rx_mw
         self.dist_m = dist_m
         self.interf_mw_us = np.zeros(n)
-        self.halfdup = np.zeros(n, dtype=bool)
 
 
 class Simulation:
@@ -164,8 +163,7 @@ class Simulation:
         self.lane = np.asarray(fleet.lane, dtype=int)
         self.dirsign = np.where(self.lane < config.road.lanes_per_direction, 1, -1)
         self.is_lte = np.asarray(fleet.is_lte, dtype=bool)
-        n = self.pos.size
-        self.n = n
+        self.n = n = self.pos.size
         self.lte_ids = np.nonzero(self.is_lte)[0]
         self.g5_ids = np.nonzero(~self.is_lte)[0]
 
@@ -191,6 +189,7 @@ class Simulation:
         # per node: how many on-air same-technology frames are preamble-detectable
         self._preamble_count = np.zeros(n, dtype=int)
         self.active: dict[int, TxRec] = {}
+        self.tx_end_us = np.zeros(n, dtype=np.int64)  # end of each node's latest frame
         # Written by each CsmaMac as its phase changes; LTE entries stay False.
         self.want_busy = np.zeros(n, dtype=bool)
         self.want_idle = np.zeros(n, dtype=bool)
@@ -238,7 +237,7 @@ class Simulation:
         self._push(due_us, EV_MACTIMER, (node, token))
 
     def start_tx(self, node: int, cam: int, now_us: int) -> None:
-        self._begin_tx(node, cam, now_us, lte=False)
+        self._begin_tx(node, cam, now_us)
 
     # -- internals -----------------------------------------------------------
 
@@ -270,18 +269,17 @@ class Simulation:
             else:
                 self.macs[i].on_idle(t_us)
 
-    def _begin_tx(self, node: int, cam: int, t_us: int, lte: bool) -> None:
+    def _begin_tx(self, node: int, cam: int, t_us: int) -> None:
         if node in self.active:
             raise RuntimeError(f"node {node} is already transmitting")
         if self.history is not None:
             self.history.advance(t_us, self.power_mw)
+        lte = bool(self.is_lte[node])
         dur = OCCUPIED_US if lte else self.g5_airtime_us
         rec = TxRec(node, lte, cam, t_us, t_us + dur,
                     self.rx_mw[node], self.dist[node], self.n)
-        for other in self.active.values():
-            other.halfdup[node] = True
-            rec.halfdup[other.tx] = True
         self.active[node] = rec
+        self.tx_end_us[node] = rec.end_us
         self.power_mw = self.power_mw + rec.rx_mw
         if not lte and self.preamble_mw is not None:
             self._preamble_count += rec.rx_mw >= self.preamble_mw
@@ -298,6 +296,7 @@ class Simulation:
             self.history.advance(t_us, self.power_mw)
         del self.active[rec.tx]
         count_at_lte = self.cfg.lte_rx_counts_itsg5_interference
+        power = np.zeros(self.n)
         for other in self.active.values():
             w = t_us - max(rec.start_us, other.start_us)
             if w > 0:
@@ -305,8 +304,6 @@ class Simulation:
                     other.interf_mw_us += rec.rx_mw * w
                 if other.lte or not rec.lte or count_at_lte:
                     rec.interf_mw_us += other.rx_mw * w
-        power = np.zeros(self.n)
-        for other in self.active.values():
             power += other.rx_mw
         self.power_mw = power
         if not rec.lte and self.preamble_mw is not None:
@@ -318,10 +315,13 @@ class Simulation:
             mac.on_tx_complete(t_us)
 
     def _deliver(self, rec: TxRec, t_us: int) -> None:
+        # Half-duplex: a node is deaf if its latest frame ends after this one
+        # starts; its frames never overlap and ends sort before starts.
+        halfdup = self.tx_end_us > rec.start_us
         if rec.lte:
             offset = (rec.start_us // TTI_US) % self.sps.period
             cand = self.lte_ids[(rec.rx_mw[self.lte_ids] >= self.decode_mw)
-                                & ~rec.halfdup[self.lte_ids]]
+                                & ~halfdup[self.lte_ids]]
             self.sps.note_decode(rec.tx, cand, offset, t_us // TTI_US)
 
         if rec.t_gen_us < self.warmup_us:
@@ -336,15 +336,15 @@ class Simulation:
                        rec.end_us - rec.start_us, self.noise_mw)
         per = self.curve[rec.lte].lookup(sinr)
         draws = self.rng["reception"].random(idx.size)
-        halfdup = rec.halfdup[idx]
-        success = reception_success(per, draws) & ~halfdup
+        deaf = halfdup[idx]
+        success = reception_success(per, draws) & ~deaf
         self.hist.record_many(int(rec.lte), rec.dist_m[idx], success)
         self.counters["rx_opportunities"] += int(idx.size)
         self.counters["rx_success"] += int(success.sum())
-        self.counters["rx_halfduplex"] += int(halfdup.sum())
+        self.counters["rx_halfduplex"] += int(deaf.sum())
 
     def _on_slot(self, node: int, t_us: int) -> None:
-        self._begin_tx(node, self.lte_pending.pop(node), t_us, lte=True)
+        self._begin_tx(node, self.lte_pending.pop(node), t_us)
 
     def _on_cam(self, node: int, t_us: int) -> None:
         next_us = self.sources.generate(node, t_us)

@@ -60,10 +60,10 @@ def test_sps_window_follows_the_beacon_period(period_ms, mix):
     assert sim.sps.period * TTI_US == round(period_ms * 1000)
     begin_tx, off_offset = sim._begin_tx, []
 
-    def spy(node, cam, t_us, lte):
-        if lte and (t_us // TTI_US) % sim.sps.period != sim.sps.offset[node]:
+    def spy(node, cam, t_us):
+        if sim.is_lte[node] and (t_us // TTI_US) % sim.sps.period != sim.sps.offset[node]:
             off_offset.append((node, t_us))
-        begin_tx(node, cam, t_us, lte)
+        begin_tx(node, cam, t_us)
 
     sim._begin_tx = spy
     c = sim.run().counters
@@ -200,9 +200,9 @@ def test_mixed_run_populates_reservations():
 def test_second_start_of_an_active_transmitter_is_an_error():
     cfg = small_engine_config(itsg5_fraction=1.0)
     sim = Simulation(cfg, seed=1, fleet=two_vehicles())
-    sim._begin_tx(0, 0, 0, lte=False)
+    sim._begin_tx(0, 0, 0)
     with pytest.raises(RuntimeError, match="already transmitting"):
-        sim._begin_tx(0, 0, 100, lte=False)
+        sim._begin_tx(0, 0, 100)
 
 
 def test_event_in_the_past_is_an_error():
@@ -328,11 +328,11 @@ def test_continuous_lte_pair_always_half_duplex():
 
 def test_concurrent_power_sums_and_two_tier_sensing():
     fleet = lane_zero([0.0, 200.0, 100.0])
-    cfg = small_engine_config(itsg5_fraction=1.0, shadowing=NO_SHADOW)
+    cfg = small_engine_config(itsg5_fraction=1.0, shadowing=NO_SHADOW, warm_up_s=0.0)
     sim = Simulation(cfg, seed=1, fleet=fleet)
     assert not sim.busy.any()
-    sim._begin_tx(0, 0, 0, lte=False)
-    sim._begin_tx(1, 0, 0, lte=False)
+    sim._begin_tx(0, 0, 0)
+    sim._begin_tx(1, 0, 0)
     # Middle node hears both 100 m neighbours at about -71 dBm each.
     per_link = rx_power_mw(path_loss_db(100.0, cfg.link), 0.0, cfg.link)
     assert sim.power_mw[2] == pytest.approx(2 * per_link, rel=1e-9)
@@ -341,8 +341,12 @@ def test_concurrent_power_sums_and_two_tier_sensing():
     # Below the -65 dBm energy gate, yet busy through preamble detection.
     assert total_dbm < cfg.csma.cca_threshold_dbm
     assert sim.busy[2]
-    # Concurrent transmitters are mutually half-duplex.
-    assert sim.active[0].halfdup[1] and sim.active[1].halfdup[0]
+    # Concurrent transmitters are mutually half-duplex; the middle node hears both.
+    end_us = sim.active[0].end_us
+    sim._end_tx(sim.active[0], end_us)
+    sim._end_tx(sim.active[1], end_us)
+    c = sim.counters
+    assert c["rx_opportunities"] == 4 and c["rx_halfduplex"] == 2
 
 
 def test_energy_only_sensing_ignores_sub_threshold_preambles():
@@ -350,7 +354,7 @@ def test_energy_only_sensing_ignores_sub_threshold_preambles():
     cfg = small_engine_config(itsg5_fraction=1.0, shadowing=NO_SHADOW)
     cfg.csma.preamble_threshold_dbm = None
     sim = Simulation(cfg, seed=1, fleet=fleet)
-    sim._begin_tx(0, 0, 0, lte=False)
+    sim._begin_tx(0, 0, 0)
     assert not sim.busy[1]  # -71 dBm is below the energy gate
 
 
@@ -457,15 +461,15 @@ def test_interference_energy_counts_only_the_overlap():
     fleet = lane_zero([0.0, 200.0, 100.0])
     cfg = small_engine_config(itsg5_fraction=1.0, shadowing=NO_SHADOW)
     sim = Simulation(cfg, seed=1, fleet=fleet)
-    sim._begin_tx(0, 0, 0, lte=False)
-    sim._begin_tx(1, 0, 256, lte=False)
+    sim._begin_tx(0, 0, 0)
+    sim._begin_tx(1, 0, 256)
     first, second = sim.active[0], sim.active[1]
     sim._end_tx(first, 512)
     # Each 512 us frame overlapped the other for 256 us: fraction one half.
     assert first.interf_mw_us[2] == pytest.approx(second.rx_mw[2] * 256, rel=1e-12)
     assert second.interf_mw_us[2] == pytest.approx(first.rx_mw[2] * 256, rel=1e-12)
     # A frame starting at the instant another ends overlaps it for zero time.
-    sim._begin_tx(0, 0, 768, lte=False)
+    sim._begin_tx(0, 0, 768)
     third = sim.active[0]
     sim._end_tx(second, 768)
     assert not third.interf_mw_us.any()
