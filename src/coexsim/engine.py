@@ -33,7 +33,7 @@ from .channel import (
 from .mac_itsg5 import CsmaConfig, CsmaMac, airtime_us, cca_busy
 from .mac_ltev2x import OCCUPIED_US, TTI_US, SensingHistory, SpsConfig, SpsScheduler
 from .results import PrrHistogram
-from .scenario import Fleet, RoadConfig, advance_positions, distance_matrix, spawn
+from .scenario import Fleet, RoadConfig, advance_positions, distance_matrix, fleet_errors, spawn
 from .traffic import CamSource, TrafficConfig
 
 EV_MOBILITY = 0
@@ -44,6 +44,12 @@ EV_MACTIMER = 4
 EV_RUNEND = 5
 
 SUBSTREAMS = ("placement", "traffic", "backoff", "sps", "reception", "shadowing")
+
+# The counters RunLog.digest() hashes, in sorted order: a new counter leaves
+# pinned digests alone. lte_silent_periods is retired and hashed as 0.
+DIGEST_COUNTERS = ("cams_dropped", "cams_generated", "counted_tx", "lte_silent_periods",
+                   "rx_halfduplex", "rx_opportunities", "rx_success", "tx_itsg5",
+                   "tx_ltev2x")
 
 
 @dataclass
@@ -121,7 +127,8 @@ class RunLog:
         h = hashlib.sha256()
         h.update(self.histogram.opportunities.tobytes())
         h.update(self.histogram.successes.tobytes())
-        h.update(repr(sorted(self.counters.items())).encode())
+        counters = {**self.counters, "lte_silent_periods": 0}
+        h.update(repr([(k, counters[k]) for k in DIGEST_COUNTERS]).encode())
         return h.hexdigest()
 
 
@@ -150,6 +157,8 @@ class TxRec:
 class Simulation:
     def __init__(self, config: EngineConfig, seed, fleet: Fleet | None = None):
         errors = config.validate()
+        if fleet is not None:
+            errors += fleet_errors(fleet, config.road)
         if errors:
             raise ValueError("invalid configuration: " + "; ".join(errors))
         self.cfg = config
@@ -212,9 +221,7 @@ class Simulation:
         self.hist = PrrHistogram(config.bin_width_m, config.max_distance_m)
         self.counters = {
             "cams_generated": 0, "cams_dropped": 0, "tx_itsg5": 0, "tx_ltev2x": 0,
-            "counted_tx": 0, "rx_opportunities": 0, "rx_success": 0,
-            # lte_silent_periods is never incremented; RunLog.digest() hashes it.
-            "rx_halfduplex": 0, "lte_silent_periods": 0,
+            "counted_tx": 0, "rx_opportunities": 0, "rx_success": 0, "rx_halfduplex": 0,
         }
 
         self.now = 0

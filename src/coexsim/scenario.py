@@ -43,6 +43,22 @@ class Fleet(NamedTuple):
     is_lte: np.ndarray
 
 
+def fleet_errors(fleet: Fleet, road: RoadConfig) -> list[str]:
+    """What keeps a caller's fleet off the road; empty when it fits."""
+    pos, lane, is_lte = (np.asarray(a) for a in fleet)
+    errors = []
+    if not (pos.ndim == 1 and pos.shape == lane.shape == is_lte.shape):
+        errors.append("fleet arrays must be 1-D and of equal length")
+    if not ((pos >= 0.0) & (pos < road.length_m)).all():
+        errors.append("fleet pos_m must be in [0, length_m)")
+    n_lanes = 2 * road.lanes_per_direction
+    if not (np.issubdtype(lane.dtype, np.integer) and ((lane >= 0) & (lane < n_lanes)).all()):
+        errors.append(f"fleet lane must hold integers in [0, {n_lanes})")
+    if is_lte.dtype != bool:
+        errors.append("fleet is_lte must be bool")
+    return errors
+
+
 def round_half_away(x: float) -> int:
     """Round to nearest integer, ties away from zero (not banker's)."""
     return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
@@ -64,8 +80,6 @@ def spawn(cfg: RoadConfig, itsg5_fraction: float, rng: np.random.Generator) -> F
     random. Lanes are i.i.d. uniform over both directions; the first half of
     the lane indices drives forward, the second half backward.
     """
-    if not 0.0 <= itsg5_fraction <= 1.0:
-        raise ValueError(f"itsg5_fraction must be in [0,1], got {itsg5_fraction}")
     n = vehicle_count(cfg)
     n_lanes = 2 * cfg.lanes_per_direction
     positions = rng.uniform(0.0, cfg.length_m, size=n)

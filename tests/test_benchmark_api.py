@@ -5,14 +5,20 @@ reads a few attributes of a finished Simulation. A rename would otherwise
 surface only in perfbench's own tests or at benchmark time.
 """
 
+import inspect
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
+from coexsim import harness  # noqa: E402
 from coexsim.engine import Simulation  # noqa: E402
+from coexsim.mac_itsg5 import CsmaMac  # noqa: E402
+from coexsim.results import PrrHistogram  # noqa: E402
 from perfbench import checks  # noqa: E402
 from perfbench.tracing import TARGETS  # noqa: E402
 
@@ -23,6 +29,23 @@ def test_every_traced_name_is_defined_on_its_owner():
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, _ in TARGETS if attr not in vars(owner)]
     assert missing == []
+
+
+# The fixed positional shapes perfbench's wrappers call these with.
+CALL_SHAPES = {
+    "CsmaMac.on_busy": (CsmaMac.on_busy, ("mac", "now_us")),
+    "CsmaMac.on_idle": (CsmaMac.on_idle, ("mac", "now_us")),
+    "CsmaMac.on_timer": (CsmaMac.on_timer, ("mac", "now_us", "token")),
+    "PrrHistogram.record_many": (PrrHistogram.record_many,
+                                 ("hist", "tech_index", "distances_m", "successes")),
+    "harness.run_simulation": (harness.run_simulation, ("config", "seed")),
+}
+
+
+@pytest.mark.parametrize("name", list(CALL_SHAPES))
+def test_wrapped_functions_accept_the_benchmarks_call_shapes(name):
+    fn, args = CALL_SHAPES[name]
+    inspect.signature(fn).bind(*args)
 
 
 def test_pending_at_end_closes_cam_conservation():

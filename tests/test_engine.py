@@ -2,6 +2,7 @@
 
 import gc
 import heapq
+import re
 import weakref
 from types import SimpleNamespace
 
@@ -15,7 +16,7 @@ from coexsim.channel import ShadowingConfig, path_loss_db, rx_power_mw
 from coexsim.engine import Simulation
 from coexsim.mac_itsg5 import CsmaConfig, Phase, airtime_us
 from coexsim.mac_ltev2x import OCCUPIED_US, TTI_US, SpsConfig
-from coexsim.scenario import Fleet, RoadConfig
+from coexsim.scenario import Fleet, RoadConfig, fleet_errors
 from coexsim.traffic import TrafficConfig, TrafficMode
 
 from conftest import small_engine_config
@@ -47,6 +48,41 @@ def test_invalid_config_rejected():
         Simulation(small_engine_config(itsg5_fraction=1.5), seed=1)
 
 
+TWO_KM = RoadConfig(length_m=2000.0)  # 3 lanes per direction
+
+
+@pytest.mark.parametrize("fleet,error", [
+    (Fleet(np.array([10.0, 20.0]), np.array([0, 9]), np.array([False, True])),
+     "fleet lane must hold integers in [0, 6)"),
+    (Fleet(np.array([10.0, 20.0]), np.array([0.0, 1.5]), np.array([False, True])),
+     "fleet lane must hold integers in [0, 6)"),
+    (Fleet(np.array([10.0, 5000.0]), np.array([0, 1]), np.array([False, True])),
+     "fleet pos_m must be in [0, length_m)"),
+    (Fleet(np.array([-1.0, 20.0]), np.array([0, 1]), np.array([False, True])),
+     "fleet pos_m must be in [0, length_m)"),
+    (Fleet(np.array([10.0, 20.0, 30.0]), np.array([0, 1]), np.array([False, True, True])),
+     "fleet arrays must be 1-D and of equal length"),
+    (Fleet(np.array([[10.0, 20.0]]), np.array([[0, 1]]), np.array([[False, True]])),
+     "fleet arrays must be 1-D and of equal length"),
+    (Fleet(np.array([10.0, 20.0]), np.array([0, 1]), np.array([0, 1])),
+     "fleet is_lte must be bool"),
+], ids=["lane_9", "fractional_lane", "beyond_road", "negative_pos", "lengths_3_2_3",
+        "two_dimensional", "int_is_lte"])
+def test_bad_fleet_rejected(fleet, error):
+    assert fleet_errors(fleet, TWO_KM) == [error]
+    with pytest.raises(ValueError, match=re.escape(error)):
+        Simulation(small_engine_config(road=TWO_KM), seed=1, fleet=fleet)
+
+
+def test_every_fleet_and_config_error_is_reported_at_once():
+    fleet = Fleet(np.array([5000.0]), np.array([9]), np.array([1]))
+    with pytest.raises(ValueError) as err:
+        Simulation(small_engine_config(road=TWO_KM, measure_s=0.0), seed=1, fleet=fleet)
+    for error in ("measure_s must be > 0", "fleet pos_m must be in [0, length_m)",
+                  "fleet lane must hold integers in [0, 6)", "fleet is_lte must be bool"):
+        assert error in str(err.value)
+
+
 @pytest.mark.parametrize("period_ms", [20.0, 50.0, 100.0])
 @pytest.mark.parametrize("mix", [0.0, 0.5])
 def test_sps_window_follows_the_beacon_period(period_ms, mix):
@@ -68,7 +104,7 @@ def test_sps_window_follows_the_beacon_period(period_ms, mix):
     sim._begin_tx = spy
     c = sim.run().counters
     assert c["tx_ltev2x"] > 0 and off_offset == []
-    assert c["cams_dropped"] == 0 and c["lte_silent_periods"] == 0
+    assert c["cams_dropped"] == 0
 
 
 def test_beacon_period_must_be_whole_ttis_dividing_the_sensing_window():
@@ -113,6 +149,12 @@ def test_same_seed_same_digest():
     b = eng.run(cfg, seed=3)
     assert a.digest() == b.digest()
     assert a.counters == b.counters
+
+
+def test_extra_counter_leaves_the_digest_alone(mixed_log):
+    extra = eng.RunLog(mixed_log.histogram, {**mixed_log.counters, "new_count": 5},
+                       mixed_log.n_vehicles)
+    assert extra.digest() == mixed_log.digest()
 
 
 def test_different_seed_different_digest():
@@ -347,6 +389,50 @@ def test_concurrent_power_sums_and_two_tier_sensing():
     sim._end_tx(sim.active[1], end_us)
     c = sim.counters
     assert c["rx_opportunities"] == 4 and c["rx_halfduplex"] == 2
+
+
+def test_frame_ending_as_another_starts_leaves_its_sender_listening():
+    # Busy intervals are half-open: node 1's frame is gone at its end instant,
+    # so node 1 hears the frame node 0 starts then.
+    cfg = small_engine_config(itsg5_fraction=1.0, shadowing=NO_SHADOW, warm_up_s=0.0)
+    sim = Simulation(cfg, seed=1, fleet=two_vehicles())
+    sim._begin_tx(1, 0, 100)
+    first = sim.active[1]
+    sim._end_tx(first, first.end_us)
+    sim._begin_tx(0, 0, first.end_us)
+    second = sim.active[0]
+    sim._end_tx(second, second.end_us)
+    c = sim.counters
+    assert c["rx_opportunities"] == 2 and c["rx_halfduplex"] == 0
+
+
+def test_receiver_that_starts_during_the_frame_is_deaf_to_it():
+    cfg = small_engine_config(itsg5_fraction=1.0, shadowing=NO_SHADOW, warm_up_s=0.0)
+    sim = Simulation(cfg, seed=1, fleet=two_vehicles())
+    sim._begin_tx(0, 0, 0)
+    sim._begin_tx(1, 0, 100)
+    first = sim.active[0]
+    sim._end_tx(first, first.end_us)
+    c = sim.counters
+    assert c["rx_opportunities"] == 1 and c["rx_halfduplex"] == 1 and c["rx_success"] == 0
+
+
+def test_two_itsg5_frames_inside_one_lte_frame_leave_the_sender_deaf():
+    # At 12 Mb/s an ITS-G5 frame takes 280 us, so node 1 sends two frames
+    # inside node 0's 929 us sidelink frame; the latest of them ends first.
+    cfg = small_engine_config(itsg5_fraction=0.5, shadowing=NO_SHADOW, warm_up_s=0.0,
+                              csma=CsmaConfig(mcs_data_rate_bps=12e6))
+    sim = Simulation(cfg, seed=1, fleet=two_vehicles(100.0, (True, False)))
+    sim._begin_tx(0, 0, 0)
+    lte = sim.active[0]
+    for start_us in (100, 500):
+        sim._begin_tx(1, 0, start_us)
+        sim._end_tx(sim.active[1], start_us + sim.g5_airtime_us)
+    assert sim.tx_end_us[1] == 780 < lte.end_us
+    c = sim.counters
+    assert c["rx_opportunities"] == c["rx_halfduplex"] == 2  # node 0 is on air
+    sim._end_tx(lte, lte.end_us)
+    assert c["rx_opportunities"] == c["rx_halfduplex"] == 3
 
 
 def test_energy_only_sensing_ignores_sub_threshold_preambles():
