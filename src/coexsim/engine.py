@@ -343,12 +343,12 @@ class Simulation:
                        rec.end_us - rec.start_us, self.noise_mw)
         per = self.curve[rec.lte].lookup(sinr)
         draws = self.rng["reception"].random(idx.size)
-        deaf = halfdup[idx]
-        success = reception_success(per, draws) & ~deaf
+        halfdup = halfdup[idx]
+        success = reception_success(per, draws) & ~halfdup
         self.hist.record_many(int(rec.lte), rec.dist_m[idx], success)
         self.counters["rx_opportunities"] += int(idx.size)
         self.counters["rx_success"] += int(success.sum())
-        self.counters["rx_halfduplex"] += int(deaf.sum())
+        self.counters["rx_halfduplex"] += int(halfdup.sum())
 
     def _on_slot(self, node: int, t_us: int) -> None:
         self._begin_tx(node, self.lte_pending.pop(node), t_us)

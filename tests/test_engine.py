@@ -419,7 +419,7 @@ def test_receiver_that_starts_during_the_frame_is_deaf_to_it():
 
 def test_two_itsg5_frames_inside_one_lte_frame_leave_the_sender_deaf():
     # At 12 Mb/s an ITS-G5 frame takes 280 us, so node 1 sends two frames
-    # inside node 0's 929 us sidelink frame; the latest of them ends first.
+    # inside node 0's 929 us sidelink frame, and both end before it does.
     cfg = small_engine_config(itsg5_fraction=0.5, shadowing=NO_SHADOW, warm_up_s=0.0,
                               csma=CsmaConfig(mcs_data_rate_bps=12e6))
     sim = Simulation(cfg, seed=1, fleet=two_vehicles(100.0, (True, False)))
