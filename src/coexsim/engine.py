@@ -51,6 +51,10 @@ DIGEST_COUNTERS = ("cams_dropped", "cams_generated", "counted_tx", "lte_silent_p
                    "rx_halfduplex", "rx_opportunities", "rx_success", "tx_itsg5",
                    "tx_ltev2x")
 
+# Delivered frames are scored in batches of at most this many; the cap bounds
+# the batch's per-pair temporaries.
+SCORE_BATCH = 64
+
 
 @dataclass
 class EngineConfig:
@@ -217,6 +221,8 @@ class Simulation:
 
         # node -> generation time of its CAM awaiting its sidelink slot
         self.lte_pending: dict[int, int] = {}
+        # delivered frames awaiting _score(), each with its half-duplex flags
+        self._unscored: list[tuple[TxRec, np.ndarray]] = []
 
         self.hist = PrrHistogram(config.bin_width_m, config.max_distance_m)
         self.counters = {
@@ -334,20 +340,40 @@ class Simulation:
         if rec.t_gen_us < self.warmup_us:
             return
         self.counters["counted_tx"] += 1
-        mask = (rec.rx_mw >= self.relevance_mw) & (rec.dist_m < self.cfg.max_distance_m)
-        mask[rec.tx] = False
-        idx = np.nonzero(mask)[0]
-        if idx.size == 0:
+        self._unscored.append((rec, halfdup))
+        if len(self._unscored) >= SCORE_BATCH:
+            self._score()
+
+    def _score(self) -> None:
+        """Score the buffered frames at every relevant receiver in range.
+
+        Pairs are taken in delivery order, so the one draw equals the draws
+        frame by frame.
+        """
+        if not self._unscored:
             return
-        sinr = sinr_db(rec.rx_mw[idx], rec.interf_mw_us[idx],
-                       rec.end_us - rec.start_us, self.noise_mw)
-        per = self.curve[rec.lte].lookup(sinr)
-        draws = self.rng["reception"].random(idx.size)
-        halfdup = halfdup[idx]
-        success = reception_success(per, draws) & ~halfdup
-        self.hist.record_many(int(rec.lte), rec.dist_m[idx], success)
-        self.counters["rx_opportunities"] += int(idx.size)
-        self.counters["rx_success"] += int(success.sum())
+        recs, halfdup = zip(*self._unscored)
+        self._unscored = []
+        rx_mw = np.stack([r.rx_mw for r in recs])
+        dist = np.stack([r.dist_m for r in recs])
+        mask = (rx_mw >= self.relevance_mw) & (dist < self.cfg.max_distance_m)
+        # An infinite relevance margin admits the sender's own 0 mW entry.
+        mask[np.arange(len(recs)), [r.tx for r in recs]] = False
+        row, col = np.nonzero(mask)
+        lte = np.array([r.lte for r in recs])[row]
+        dur_us = np.array([r.end_us - r.start_us for r in recs])[row]
+        interf = np.stack([r.interf_mw_us for r in recs])[row, col]
+        sinr = sinr_db(rx_mw[row, col], interf, dur_us, self.noise_mw)
+        draws = self.rng["reception"].random(row.size)
+        halfdup = np.stack(halfdup)[row, col]
+        dist = dist[row, col]
+        for tech in (False, True):
+            if (sel := lte == tech).any():
+                per = self.curve[tech].lookup(sinr[sel])
+                success = reception_success(per, draws[sel]) & ~halfdup[sel]
+                self.hist.record_many(int(tech), dist[sel], success)
+                self.counters["rx_success"] += int(success.sum())
+        self.counters["rx_opportunities"] += int(row.size)
         self.counters["rx_halfduplex"] += int(halfdup.sum())
 
     def _on_slot(self, node: int, t_us: int) -> None:
@@ -373,6 +399,9 @@ class Simulation:
 
     def _on_mobility(self, t_us: int) -> None:
         cfg = self.cfg
+        # Buffered frames hold rows of this epoch's matrices; scoring them now
+        # frees those matrices before the rebuild allocates the next ones.
+        self._score()
         dt_s = cfg.mobility_update_ms / 1000.0
         self.pos = advance_positions(self.pos, self.dirsign, cfg.road.speed_mps,
                                      dt_s, cfg.road.length_m)
@@ -403,6 +432,7 @@ class Simulation:
                 self._on_slot(payload, t)
             elif kind == EV_MOBILITY:
                 self._on_mobility(t)
+        self._score()
         for mac in self.macs:
             if mac is not None:
                 self.counters["cams_dropped"] += mac.drops

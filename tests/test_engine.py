@@ -189,6 +189,35 @@ def test_histogram_totals_match_counters(mixed_log):
     assert mixed_log.n_vehicles == 20
 
 
+def test_run_scores_its_last_part_filled_batch(monkeypatch):
+    # The last mobility update, at 2.4 s, leaves 0.1 s of frames buffered.
+    cfg = small_engine_config(mobility_update_ms=300)
+    sim = Simulation(cfg, seed=7)
+    sizes = []
+    score = sim._score
+    sim._score = lambda: (sizes.append(len(sim._unscored)), score())
+    log = sim.run()
+    assert 0 < sizes[-1] < eng.SCORE_BATCH and sim._unscored == []
+    h = log.histogram
+    assert h.opportunities.sum() == log.counters["rx_opportunities"] > 0
+    assert h.successes.sum() == log.counters["rx_success"]
+    monkeypatch.setattr(eng, "SCORE_BATCH", 1)
+    assert eng.run(cfg, seed=7).counters == log.counters
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       sizes=st.lists(st.integers(0, 300), min_size=1, max_size=12))
+def test_split_uniform_draws_equal_one_draw(seed, sizes):
+    # _score draws a whole batch at once; this equals the draws frame by frame
+    # only while numpy's Generator.random keeps this property.
+    parts = np.random.default_rng(seed)
+    split = np.concatenate([parts.random(k) for k in sizes])
+    whole = np.random.default_rng(seed).random(sum(sizes))
+    assert np.array_equal(split, whole)
+    assert parts.random() == np.random.default_rng(seed).random(sum(sizes) + 1)[-1]
+
+
 def test_cam_conservation():
     sim = Simulation(small_engine_config(), seed=11)
     log = sim.run()
@@ -387,6 +416,7 @@ def test_concurrent_power_sums_and_two_tier_sensing():
     end_us = sim.active[0].end_us
     sim._end_tx(sim.active[0], end_us)
     sim._end_tx(sim.active[1], end_us)
+    sim._score()
     c = sim.counters
     assert c["rx_opportunities"] == 4 and c["rx_halfduplex"] == 2
 
@@ -402,6 +432,7 @@ def test_frame_ending_as_another_starts_leaves_its_sender_listening():
     sim._begin_tx(0, 0, first.end_us)
     second = sim.active[0]
     sim._end_tx(second, second.end_us)
+    sim._score()
     c = sim.counters
     assert c["rx_opportunities"] == 2 and c["rx_halfduplex"] == 0
 
@@ -413,6 +444,7 @@ def test_receiver_that_starts_during_the_frame_is_deaf_to_it():
     sim._begin_tx(1, 0, 100)
     first = sim.active[0]
     sim._end_tx(first, first.end_us)
+    sim._score()
     c = sim.counters
     assert c["rx_opportunities"] == 1 and c["rx_halfduplex"] == 1 and c["rx_success"] == 0
 
@@ -429,9 +461,11 @@ def test_two_itsg5_frames_inside_one_lte_frame_leave_the_sender_deaf():
         sim._begin_tx(1, 0, start_us)
         sim._end_tx(sim.active[1], start_us + sim.g5_airtime_us)
     assert sim.tx_end_us[1] == 780 < lte.end_us
+    sim._score()
     c = sim.counters
     assert c["rx_opportunities"] == c["rx_halfduplex"] == 2  # node 0 is on air
     sim._end_tx(lte, lte.end_us)
+    sim._score()
     assert c["rx_opportunities"] == c["rx_halfduplex"] == 3
 
 

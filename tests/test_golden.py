@@ -71,3 +71,12 @@ def test_instruments_leave_the_digest_alone():
     selections = record_selections(sim)
     assert sim.run().digest() == GOLDEN[(TrafficMode.STANDARD, 0.5)]
     assert starts and any(edges.values()) and any(selections.values())
+
+
+@pytest.mark.parametrize("batch", [1, 10**9])
+@pytest.mark.parametrize("mix", [0.5, 0.0])
+def test_score_batch_size_leaves_the_digest_alone(monkeypatch, mix, batch):
+    # One frame per batch, and batches cut only by mobility updates and the run's end.
+    monkeypatch.setattr(eng, "SCORE_BATCH", batch)
+    log = eng.run(small_engine_config(itsg5_fraction=mix), seed=SEED)
+    assert log.digest() == GOLDEN[(TrafficMode.STANDARD, mix)]
