@@ -28,10 +28,12 @@ import tarfile
 import tempfile
 from pathlib import Path
 
+import numpy
+
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_PAIRS = ("lte_only=10", "g5_only=5", "mixed_dense=5", "sweep=5")
-# metric -> True when higher is better
-SPREADS = {"tx_per_s": True, "peak_rss_mb": False}
+# metric -> (higher is better, decimals kept in the summary)
+SPREADS = {"tx_per_s": (True, 1), "peak_rss_mb": (False, 3)}
 
 
 def git(*args: str) -> str:
@@ -67,10 +69,9 @@ def summary(values: list[float], digits: int) -> dict:
             "min": round(min(values), digits), "max": round(max(values), digits)}
 
 
-def spread(runs: dict, metric: str, higher_better: bool) -> dict:
+def spread(runs: dict, metric: str, higher_better: bool, digits: int) -> dict:
     parent = [r["metrics"][metric]["value"] for r in runs["parent"]]
     change = [r["metrics"][metric]["value"] for r in runs["change"]]
-    digits = 1 if higher_better else 3
     wins = sum((c > p) if higher_better else (c < p) for p, c in zip(parent, change))
     return {
         "pairs": len(parent),
@@ -86,7 +87,6 @@ def host() -> dict:
     model = next((line.split(":", 1)[1].strip()
                   for line in Path("/proc/cpuinfo").read_text().splitlines()
                   if line.startswith("model name")), platform.processor())
-    import numpy
     return {"cores": os.cpu_count(), "cpu_model": model,
             "python": platform.python_version(), "numpy": numpy.__version__,
             "os": platform.system()}
@@ -165,8 +165,8 @@ def main(argv=None) -> int:
         ],
         "per_workload": per_workload,
     }
-    for metric, higher_better in SPREADS.items():
-        record[f"{metric}_spread"] = {w: spread(runs, metric, higher_better)
+    for metric, (higher_better, digits) in SPREADS.items():
+        record[f"{metric}_spread"] = {w: spread(runs, metric, higher_better, digits)
                                       for w, runs in per_workload.items()}
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
