@@ -2,16 +2,18 @@
 
     python3 scripts/bench_pairs.py [--change REV] [--parent REV]
         [--pairs lte_only=10 g5_only=5 mixed_dense=5 sweep=5]
-        [--seconds 30] [--seed 1] [--out BENCH_<n>.json] [--work-dir DIR]
+        [--seed 1] [--out BENCH_<n>.json] [--work-dir DIR]
 
 Both revisions are exported with `git archive` into a temporary directory,
 so neither the working tree nor the repository's worktree list is touched.
 Each pair runs `python3 perfbench/run.py --workload W` once in each
-checkout, parent first in even pairs and change first in odd ones, so slow
-and fast spells of the host fall on both sides. The record keeps every run's
-final JSON line and summarises `tx_per_s` and `peak_rss_mb` per workload:
-median, inclusive quartiles, the pairs the change won and the per-pair
-change/parent ratios.
+checkout, at perfbench's own run length, parent first in even pairs and
+change first in odd ones, so slow and fast spells of the host fall on both
+sides. The record keeps every run's final JSON line and summarises
+`tx_per_s` and `peak_rss_mb` per workload: median, inclusive quartiles, the
+pairs the change won and the per-pair change/parent ratios. Its `command`
+names both revisions as commits, so it reruns the same comparison whatever
+HEAD is by then.
 """
 
 from __future__ import annotations
@@ -45,15 +47,16 @@ def export(rev: str, dest: Path) -> dict:
     """Extract the tree of `rev` into `dest`; return its commit and src tree."""
     tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
                          capture_output=True, check=True).stdout
+    # The "data" filter exists from Python 3.10.12 and 3.11.4 on.
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
-        tf.extractall(dest, filter="data")
+        tf.extractall(dest, **safe)
     return {"commit": git("rev-parse", f"{rev}^{{commit}}"),
             "src_tree": git("rev-parse", f"{rev}:src")}
 
 
-def run_once(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seconds", str(seconds), "--seed", str(seed)]
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
     lines = out.stdout.splitlines()
     result = json.loads(lines[-1])
@@ -105,7 +108,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     p.add_argument("--parent", help="baseline revision (default: the change's first parent)")
     p.add_argument("--pairs", nargs="+", default=list(DEFAULT_PAIRS),
                    metavar="WORKLOAD=N", help="pairs per workload")
-    p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", type=Path, help="record to write (default: next free BENCH_<n>.json)")
     p.add_argument("--work-dir", type=Path, help="where to export the two checkouts")
@@ -114,8 +116,8 @@ def parse_args(argv=None) -> argparse.Namespace:
         args.pairs = {w: int(n) for w, n in (item.split("=") for item in args.pairs)}
     except ValueError:
         p.error("--pairs takes WORKLOAD=N items")
-    if any(n < 1 for n in args.pairs.values()):
-        p.error("--pairs needs at least one pair per workload")
+    if any(n < 2 for n in args.pairs.values()):
+        p.error("--pairs needs at least two pairs per workload, for the quartiles")
     args.parent = args.parent or f"{args.change}^"
     return args
 
@@ -136,7 +138,7 @@ def main(argv=None) -> int:
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 runs["orders"].append(f"{order[0]} first")
                 for side in order:
-                    result = run_once(dirs[side], workload, args.seconds, args.seed)
+                    result = run_once(dirs[side], workload, args.seed)
                     runs[side].append(result)
                     tx = result["metrics"]["tx_per_s"]["value"]
                     print(f"{workload} pair {i} {side} {tx:.1f} tx/s", flush=True)
@@ -148,11 +150,13 @@ def main(argv=None) -> int:
     record = {
         "what": "perfbench end-to-end results for a change against its parent, measured "
                 "in alternating pairs on one host. Each entry is the final JSON line of "
-                f"`python3 perfbench/run.py` (--seed {args.seed}, --seconds {args.seconds:g}), "
+                f"`python3 perfbench/run.py --workload W --seed {args.seed}` at perfbench's own "
+                "run length, "
                 "plus digests_match: every digest line of the run printed match.",
         "command": "python3 scripts/bench_pairs.py " + " ".join(
-            ["--pairs", *(f"{w}={n}" for w, n in args.pairs.items()),
-             "--seconds", f"{args.seconds:g}", "--seed", str(args.seed)]),
+            ["--change", revs["change"]["commit"], "--parent", revs["parent"]["commit"],
+             "--pairs", *(f"{w}={n}" for w, n in args.pairs.items()),
+             "--seed", str(args.seed)]),
         "parent": revs["parent"],
         "change": revs["change"],
         "host": host(),
