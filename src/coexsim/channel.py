@@ -32,12 +32,12 @@ class LinkBudgetConfig:
         return errors
 
 
-def breakpoint_distance_m(carrier_ghz: float, h_eff_m: float = EFFECTIVE_ANTENNA_HEIGHT_M) -> float:
-    return 4.0 * h_eff_m * h_eff_m * carrier_ghz * 1e9 / SPEED_OF_LIGHT_MPS
+def breakpoint_distance_m(carrier_ghz: float) -> float:
+    return 4.0 * EFFECTIVE_ANTENNA_HEIGHT_M ** 2 * carrier_ghz * 1e9 / SPEED_OF_LIGHT_MPS
 
 
-def path_loss_db(d_m, cfg: LinkBudgetConfig):
-    """Two-slope urban-street LOS path loss at street level (scalar or array).
+def path_loss_db(d_m, cfg: LinkBudgetConfig) -> np.ndarray:
+    """Two-slope urban-street LOS path loss at street level, elementwise.
 
     Below the breakpoint: 22.7 log10(d) + 41.0 + 20 log10(f/5).
     Above: 40 log10(d) + 9.45 - 2 * 17.3 log10(h') + 2.7 log10(f/5).
@@ -46,13 +46,12 @@ def path_loss_db(d_m, cfg: LinkBudgetConfig):
     d = np.maximum(np.asarray(d_m, dtype=float), MIN_PATHLOSS_DISTANCE_M)
     f = cfg.carrier_ghz
     h = EFFECTIVE_ANTENNA_HEIGHT_M
-    d_bp = breakpoint_distance_m(f, h)
+    d_bp = breakpoint_distance_m(f)
     log_d = np.log10(d)
     log_f5 = np.log10(f / 5.0)
     near = 22.7 * log_d + 41.0 + 20.0 * log_f5
     far = 40.0 * log_d + 9.45 - 17.3 * np.log10(h) - 17.3 * np.log10(h) + 2.7 * log_f5
-    out = np.where(d <= d_bp, near, far)
-    return float(out) if np.isscalar(d_m) else out
+    return np.where(d <= d_bp, near, far)
 
 
 def noise_floor_dbm(cfg: LinkBudgetConfig) -> float:
@@ -139,10 +138,8 @@ class PerCurve:
         if np.any((self.per < 0) | (self.per > 1)):
             raise ValueError("PER curve per values must lie in [0,1]")
 
-    def lookup(self, sinr_db):
-        s = np.asarray(sinr_db, dtype=float)
-        out = np.interp(s, self.sinr_db, self.per, left=1.0, right=0.0)
-        return float(out) if np.isscalar(sinr_db) else out
+    def lookup(self, sinr_db) -> np.ndarray:
+        return np.interp(sinr_db, self.sinr_db, self.per, left=1.0, right=0.0)
 
     @classmethod
     def three_point(cls, anchor_db: float) -> "PerCurve":

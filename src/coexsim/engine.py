@@ -442,7 +442,7 @@ class Simulation:
         return RunLog(histogram=self.hist, counters=dict(self.counters), n_vehicles=self.n)
 
 
-def run(config: EngineConfig, seed, fleet: Fleet | None = None) -> RunLog:
+def run(config: EngineConfig, seed) -> RunLog:
     """Simulate warm-up plus measurement time; same (config, seed) gives an
     identical RunLog."""
-    return Simulation(config, seed, fleet).run()
+    return Simulation(config, seed).run()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -62,6 +63,8 @@ class ExperimentConfig:
             errors.append("modes must be non-empty")
         if self.runs < 1:
             errors.append("runs must be >= 1")
+        if self.master_seed < 0:
+            errors.append("master_seed must be >= 0")
         if self.jobs < 1:
             errors.append("jobs must be >= 1")
         return errors
@@ -87,8 +90,15 @@ def _list_tokens(s: str) -> list[str]:
     return tokens
 
 
+def _parse_float(s: str) -> float:
+    x = float(s)
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {s!r}")
+    return x
+
+
 def _parse_float_list(s: str) -> list[float]:
-    return [float(t) for t in _list_tokens(s)]
+    return [_parse_float(t) for t in _list_tokens(s)]
 
 
 def _parse_modes(s: str) -> list[TrafficMode]:
@@ -105,48 +115,48 @@ def _parse_modes(s: str) -> list[TrafficMode]:
 def _parse_optional_float(s: str) -> float | None:
     if s.strip().lower() in ("none", "off"):
         return None
-    return float(s)
+    return _parse_float(s)
 
 
 # key -> (target section, field name, parser); flat key = value file format.
 _KEYS = {
-    "road_length_m": ("road", "length_m", float),
+    "road_length_m": ("road", "length_m", _parse_float),
     "lanes_per_direction": ("road", "lanes_per_direction", int),
-    "lane_width_m": ("road", "lane_width_m", float),
-    "density_veh_per_km": ("road", "density_veh_per_km", float),
-    "speed_mps": ("road", "speed_mps", float),
-    "tx_power_dbm": ("link", "tx_power_dbm", float),
-    "tx_gain_db": ("link", "tx_gain_db", float),
-    "rx_gain_db": ("link", "rx_gain_db", float),
-    "noise_figure_db": ("link", "noise_figure_db", float),
-    "bandwidth_hz": ("link", "bandwidth_hz", float),
-    "carrier_ghz": ("link", "carrier_ghz", float),
-    "shadowing_sigma_db": ("shadowing", "sigma_db", float),
-    "shadowing_decorr_m": ("shadowing", "decorr_m", float),
+    "lane_width_m": ("road", "lane_width_m", _parse_float),
+    "density_veh_per_km": ("road", "density_veh_per_km", _parse_float),
+    "speed_mps": ("road", "speed_mps", _parse_float),
+    "tx_power_dbm": ("link", "tx_power_dbm", _parse_float),
+    "tx_gain_db": ("link", "tx_gain_db", _parse_float),
+    "rx_gain_db": ("link", "rx_gain_db", _parse_float),
+    "noise_figure_db": ("link", "noise_figure_db", _parse_float),
+    "bandwidth_hz": ("link", "bandwidth_hz", _parse_float),
+    "carrier_ghz": ("link", "carrier_ghz", _parse_float),
+    "shadowing_sigma_db": ("shadowing", "sigma_db", _parse_float),
+    "shadowing_decorr_m": ("shadowing", "decorr_m", _parse_float),
     "payload_bytes": ("traffic", "payload_bytes", int),
-    "base_period_ms": ("traffic", "base_period_ms", float),
-    "itsg5_jitter_ms": ("traffic", "itsg5_jitter_ms", float),
+    "base_period_ms": ("traffic", "base_period_ms", _parse_float),
+    "itsg5_jitter_ms": ("traffic", "itsg5_jitter_ms", _parse_float),
     "per_packet_jitter": ("traffic", "per_packet_jitter", _parse_bool),
     "aifs_us": ("csma", "aifs_us", int),
     "slot_us": ("csma", "slot_us", int),
     "cw_max_slots": ("csma", "cw_max_slots", int),
-    "cca_threshold_dbm": ("csma", "cca_threshold_dbm", float),
+    "cca_threshold_dbm": ("csma", "cca_threshold_dbm", _parse_float),
     "preamble_threshold_dbm": ("csma", "preamble_threshold_dbm", _parse_optional_float),
-    "mcs_data_rate_bps": ("csma", "mcs_data_rate_bps", float),
-    "keep_probability": ("sps", "keep_probability", float),
+    "mcs_data_rate_bps": ("csma", "mcs_data_rate_bps", _parse_float),
+    "keep_probability": ("sps", "keep_probability", _parse_float),
     "reselection_counter_min": ("sps", "counter_min", int),
     "reselection_counter_max": ("sps", "counter_max", int),
     "sensing_window_ttis": ("sps", "sensing_window_ttis", int),
-    "best_fraction": ("sps", "best_fraction", float),
-    "decode_threshold_dbm": ("sps", "decode_threshold_dbm", float),
+    "best_fraction": ("sps", "best_fraction", _parse_float),
+    "decode_threshold_dbm": ("sps", "decode_threshold_dbm", _parse_float),
     "reservation_expiry_ttis": ("sps", "reservation_expiry_ttis", int),
-    "warm_up_s": ("engine", "warm_up_s", float),
-    "measure_s": ("engine", "measure_s", float),
+    "warm_up_s": ("engine", "warm_up_s", _parse_float),
+    "measure_s": ("engine", "measure_s", _parse_float),
     "mobility_update_ms": ("engine", "mobility_update_ms", int),
-    "relevance_margin_db": ("engine", "relevance_margin_db", float),
+    "relevance_margin_db": ("engine", "relevance_margin_db", _parse_float),
     "lte_rx_counts_itsg5_interference": ("engine", "lte_rx_counts_itsg5_interference", _parse_bool),
-    "max_distance_m": ("engine", "max_distance_m", float),
-    "bin_width_m": ("engine", "bin_width_m", float),
+    "max_distance_m": ("engine", "max_distance_m", _parse_float),
+    "bin_width_m": ("engine", "bin_width_m", _parse_float),
     "itsg5_per_curve_csv": ("experiment", "itsg5_per_csv", str),
     "ltev2x_per_curve_csv": ("experiment", "ltev2x_per_csv", str),
     "mix_fractions": ("experiment", "mix_fractions", _parse_float_list),
@@ -158,7 +168,10 @@ _KEYS = {
 }
 
 
-def _apply(cfg: ExperimentConfig, target: str, fieldname: str, value) -> None:
+def _apply(cfg: ExperimentConfig, key: str, text: str) -> None:
+    """Parse text with the key's parser and store the value in cfg."""
+    target, fieldname, parser = _KEYS[key]
+    value = parser(text.strip())
     if target == "experiment":
         setattr(cfg, fieldname, value)
     elif target == "engine":
@@ -185,13 +198,11 @@ def load_config(path) -> ExperimentConfig:
             continue
         key, _, value = line.partition("=")
         key = key.strip()
-        spec = _KEYS.get(key)
-        if spec is None:
+        if key not in _KEYS:
             errors.append(f"{path}:{lineno}: unknown key '{key}'")
             continue
-        target, fieldname, parser = spec
         try:
-            _apply(cfg, target, fieldname, parser(value.strip()))
+            _apply(cfg, key, value)
         except ValueError as exc:
             errors.append(f"{path}:{lineno}: bad value for {key}: {exc}")
     if errors:
@@ -199,27 +210,23 @@ def load_config(path) -> ExperimentConfig:
     return cfg
 
 
+# CLI flag -> the config key whose parser reads its value.
+_FLAG_KEYS = {"mix": "mix_fractions", "mode": "modes", "runs": "runs",
+              "seed": "master_seed", "out": "out_dir", "jobs": "jobs"}
+
+
 def apply_cli(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    """Command-line flags override file values."""
+    """Command-line flags override file values; bad values are hard errors,
+    all reported together with their flag names."""
     errors = []
-    if args.mix is not None:
+    for flag, key in _FLAG_KEYS.items():
+        value = getattr(args, flag)
+        if value is None:
+            continue
         try:
-            cfg.mix_fractions = _parse_float_list(args.mix)
+            _apply(cfg, key, value)
         except ValueError as exc:
-            errors.append(f"--mix: {exc}")
-    if args.mode is not None:
-        try:
-            cfg.modes = _parse_modes(args.mode)
-        except ValueError as exc:
-            errors.append(f"--mode: {exc}")
-    if args.runs is not None:
-        cfg.runs = args.runs
-    if args.seed is not None:
-        cfg.master_seed = args.seed
-    if args.out is not None:
-        cfg.out_dir = Path(args.out)
-    if args.jobs is not None:
-        cfg.jobs = args.jobs
+            errors.append(f"--{flag}: {exc}")
     if args.verbose:
         cfg.verbose = True
     if errors:
@@ -334,10 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", type=Path, help="key = value configuration file")
     p.add_argument("--mix", help="comma-separated ITS-G5 fractions, e.g. 1.0,0.5")
     p.add_argument("--mode", help="comma-separated traffic modes: standard,constrained")
-    p.add_argument("--runs", type=int, help="runs per (mix, mode) point")
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--out", type=Path, help="output directory")
-    p.add_argument("--jobs", type=int, help="parallel worker processes")
+    p.add_argument("--runs", help="runs per (mix, mode) point")
+    p.add_argument("--seed", help="master seed")
+    p.add_argument("--out", help="output directory")
+    p.add_argument("--jobs", help="parallel worker processes")
     p.add_argument("--verbose", action="store_true", help="per-run counters")
     return p
 

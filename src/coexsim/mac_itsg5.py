@@ -180,7 +180,6 @@ class CsmaMac:
                 self._count_start_us = now_us
                 self._arm(now_us + self.backoff_slots * self.cfg.slot_us)
         elif self.phase is Phase.COUNT:
-            self.backoff_slots = 0
             self._transmit(now_us)
 
     def _transmit(self, now_us: int) -> None:

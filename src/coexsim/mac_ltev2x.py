@@ -94,13 +94,6 @@ class SensingHistory:
         return vals, blind
 
 
-@dataclass
-class SelectionResult:
-    chosen_tti: int
-    best_ttis: np.ndarray
-    pool_ttis: np.ndarray
-
-
 class SpsScheduler:
     """Semi-persistent scheduling state of every LTE node in a run.
 
@@ -141,7 +134,7 @@ class SpsScheduler:
         mask[offsets[(offsets >= 0) & (age <= self.cfg.reservation_expiry_ttis)]] = True
         return mask
 
-    def select_resource(self, node: int, now_tti: int) -> SelectionResult:
+    def select_resource(self, node: int, now_tti: int) -> int:
         """Pick a TTI among the least-utilized fifth of the next period.
 
         Candidates with any blind lag or a live decoded reservation are
@@ -172,17 +165,15 @@ class SpsScheduler:
         perm = self.rng.permutation(pool.size)
         order = np.argsort(pool_scores[perm], kind="stable")
         best_n = min(max(1, round(cfg.best_fraction * period)), pool.size)
-        best = pool[perm[order[:best_n]]]
-        chosen = int(best[self.rng.integers(best_n)])
-
+        chosen = int(pool[perm[order[self.rng.integers(best_n)]]])
         self.offset[node] = chosen % period
-        return SelectionResult(chosen, np.sort(best), pool)
+        return chosen
 
     def on_generation(self, node: int, now_tti: int) -> int:
         """Advance the node's SPS counter at a CAM generation; returns the
         TTI that will carry this packet."""
         if self.offset[node] < 0:
-            tx_tti = self.select_resource(node, now_tti).chosen_tti
+            tx_tti = self.select_resource(node, now_tti)
         else:
             self.counter[node] -= 1
             if self.counter[node] > 0:
@@ -190,7 +181,7 @@ class SpsScheduler:
             if self.rng.random() < self.cfg.keep_probability:
                 tx_tti = self._next_occurrence(node, now_tti)
             else:
-                tx_tti = self.select_resource(node, now_tti).chosen_tti
+                tx_tti = self.select_resource(node, now_tti)
         self.counter[node] = self._draw_counter()
         return tx_tti
 

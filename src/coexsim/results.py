@@ -11,6 +11,8 @@ import numpy as np
 TECH_NAMES = ("ItsG5", "LteV2x")
 
 CSV_HEADER = "tech,bin_lo_m,bin_hi_m,prr,prr_std,opportunities,runs"
+# Reference distances of the printed PRR summary.
+SUMMARY_DISTANCES_M = (50, 100, 200, 300)
 
 
 class PrrHistogram:
@@ -172,20 +174,20 @@ def write_plot_script(out_dir, csv_names: list[str]) -> Path:
     return path
 
 
-def summary_table(results: dict, distances_m=(50, 100, 200, 300)) -> str:
-    """PRR at reference distances per (mode, mix, technology), one line each.
+def summary_table(results: dict) -> str:
+    """PRR at the summary distances per (mode, mix, technology), one line each.
 
     `results` maps (mode, itsg5_fraction) to an Aggregate.
     """
     lines = ["mode         mix    tech    " +
-             "".join(f"PRR@{d}m".rjust(10) for d in distances_m)]
+             "".join(f"PRR@{d}m".rjust(10) for d in SUMMARY_DISTANCES_M)]
     for (mode, mix), agg in sorted(results.items(), key=lambda kv: (kv[0][0], -kv[0][1])):
         prr = agg.prr
         for t, name in enumerate(TECH_NAMES):
             if agg.pooled.opportunities[t].sum() == 0:
                 continue
             cells = []
-            for d in distances_m:
+            for d in SUMMARY_DISTANCES_M:
                 b = int(d // agg.pooled.bin_width_m)
                 v = prr[t, b] if b < agg.pooled.n_bins else np.nan
                 cells.append(("-" if np.isnan(v) else f"{v:.3f}").rjust(10))

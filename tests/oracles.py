@@ -89,17 +89,72 @@ def record_cca(sim: Simulation) -> tuple[dict[int, list[tuple[int, bool]]],
     return edges, starts
 
 
-def record_selections(sim: Simulation) -> dict[int, list]:
-    """Keep every SelectionResult the SPS scheduler returns, by LTE node."""
-    selections = {}
-    select = sim.sps.select_resource
+def reference_selection(history, sched, node: int,
+                        now_tti: int) -> tuple[dict[int, float], float]:
+    """The SPS candidate pool of node at now_tti and its best-n threshold.
+
+    Restates the sensing-based selection (3GPP TS 36.213 14.1.1.6) from the
+    history rows and the decoded-reservation table, one candidate at a time.
+    Each candidate TTI of the next period is scored by the mean RSSI of its
+    period-spaced lags that the node heard; a lag before TTI 0 or not yet
+    finalized reads as the noise floor and heard. The pool excludes
+    candidates with any blind lag or a live reserved offset; if that empties
+    it, the pool is every candidate not blind on all lags, and failing that
+    every candidate. Returns ({tti: score} over the pool, the best_n-th
+    smallest pool score): a pick from the best n has a score at or below it.
+    """
+    cfg, period = sched.cfg, sched.period
+    n_lags = cfg.sensing_window_ttis // period
+    reserved = set()
+    for tx in range(sched.resv_offset.shape[1]):
+        offset = int(sched.resv_offset[node, tx])
+        if offset >= 0 and now_tti - int(sched.resv_seen[node, tx]) <= cfg.reservation_expiry_ttis:
+            reserved.add(offset)
+
+    scores, any_blind, all_blind = {}, set(), set()
+    for tti in range(now_tti + 1, now_tti + 1 + period):
+        heard, blind_lags = [], 0
+        for k in range(1, n_lags + 1):
+            lag = tti - k * period
+            if 0 <= lag <= history.last_finalized_tti:
+                row = lag % history.window
+                if history.blind[row, node]:
+                    blind_lags += 1
+                    continue
+                heard.append(float(history.rssi_mw[row, node]))
+            else:
+                heard.append(history.noise_mw)
+        scores[tti] = sum(heard) / max(len(heard), 1)
+        if blind_lags:
+            any_blind.add(tti)
+        if blind_lags == n_lags:
+            all_blind.add(tti)
+
+    pool = [t for t in scores if t not in any_blind and t % period not in reserved]
+    if not pool:
+        pool = [t for t in scores if t not in all_blind]
+    if not pool:
+        pool = list(scores)
+    best_n = min(max(1, round(cfg.best_fraction * period)), len(pool))
+    threshold = sorted(scores[t] for t in pool)[best_n - 1]
+    return {t: scores[t] for t in pool}, threshold
+
+
+def record_selections(sim: Simulation) -> list[tuple]:
+    """Record (node, now_tti, chosen, pool, threshold) for every SPS
+    selection, with pool and threshold from reference_selection, taken just
+    before the scheduler picks."""
+    selections = []
+    sched = sim.sps
+    select = sched.select_resource
 
     def spy(node, now_tti):
-        result = select(node, now_tti)
-        selections.setdefault(node, []).append(result)
-        return result
+        pool, threshold = reference_selection(sched.history, sched, node, now_tti)
+        chosen = select(node, now_tti)
+        selections.append((node, now_tti, chosen, pool, threshold))
+        return chosen
 
-    sim.sps.select_resource = spy
+    sched.select_resource = spy
     return selections
 
 

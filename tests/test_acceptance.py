@@ -181,18 +181,14 @@ def test_sps_selections_stay_in_best_fifth():
     sim = Simulation(cfg, seed=21)
     selections = record_selections(sim)
     sim.run()
-    checked = 0
-    ok = True
-    for sels in selections.values():
-        for sel in sels:
-            checked += 1
-            in_best = sel.chosen_tti in sel.best_ttis
-            sized = sel.best_ttis.size == min(20, sel.pool_ttis.size)
-            subset = np.isin(sel.best_ttis, sel.pool_ttis).all()
-            ok = ok and in_best and sized and subset
-    ok = ok and checked >= 20
+    # Pool and threshold come from the reference restatement, not from the
+    # scheduler's own ranking.
+    checked = len(selections)
+    misses = sum(1 for _, _, chosen, pool, threshold in selections
+                 if chosen not in pool or pool[chosen] > threshold)
+    ok = misses == 0 and checked >= 20
     assert report("sps best-20% membership", ok,
-                  f"{checked} selections, all inside their best set")
+                  f"{checked} selections, {misses} outside the reference best set")
 
 
 def test_sps_tie_breaking_is_uniform():
@@ -202,7 +198,7 @@ def test_sps_tie_breaking_is_uniform():
     counts = np.zeros(100, dtype=int)
     trials = 10_000
     for _ in range(trials):
-        counts[sched.select_resource(0, 0).chosen_tti - 1] += 1
+        counts[sched.select_resource(0, 0) - 1] += 1
     chi2 = float(((counts - trials / 100) ** 2 / (trials / 100)).sum())
     bound = float(stats.chi2.ppf(0.99, 99))
     ok = chi2 < bound

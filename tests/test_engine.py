@@ -354,7 +354,7 @@ def test_lanes_below_lanes_per_direction_drive_forward():
 def test_isolated_pair_with_margin_decodes_every_packet():
     # 100 m, no shadowing, no interferers: SINR is 27 dB on every reception.
     cfg = small_engine_config(itsg5_fraction=1.0, shadowing=NO_SHADOW)
-    log = eng.run(cfg, seed=5, fleet=two_vehicles())
+    log = Simulation(cfg, seed=5, fleet=two_vehicles()).run()
     c = log.counters
     assert c["rx_opportunities"] > 0
     assert c["rx_success"] == c["rx_opportunities"]
@@ -370,7 +370,7 @@ def test_transmitter_is_never_its_own_receiver():
     cfg = small_engine_config(road=RoadConfig(length_m=20_000.0), itsg5_fraction=1.0,
                               relevance_margin_db=float("inf"))
     assert cfg.validate() == []
-    log = eng.run(cfg, seed=5, fleet=two_vehicles(d_m=1000.0))
+    log = Simulation(cfg, seed=5, fleet=two_vehicles(d_m=1000.0)).run()
     assert log.counters["counted_tx"] > 0
     assert log.counters["rx_opportunities"] == 0
 
@@ -380,7 +380,7 @@ def test_below_noise_link_yields_no_opportunities():
     cfg = small_engine_config(road=road, itsg5_fraction=1.0,
                               shadowing=NO_SHADOW, max_distance_m=20_000.0,
                               bin_width_m=100.0)
-    log = eng.run(cfg, seed=5, fleet=two_vehicles(d_m=10_000.0))
+    log = Simulation(cfg, seed=5, fleet=two_vehicles(d_m=10_000.0)).run()
     assert log.counters["counted_tx"] > 0
     assert log.counters["rx_opportunities"] == 0
 

@@ -70,7 +70,7 @@ def test_instruments_leave_the_digest_alone():
     edges, starts = record_cca(sim)
     selections = record_selections(sim)
     assert sim.run().digest() == GOLDEN[(TrafficMode.STANDARD, 0.5)]
-    assert starts and any(edges.values()) and any(selections.values())
+    assert starts and any(edges.values()) and selections
 
 
 @pytest.mark.parametrize("batch", [1, 10**9])

@@ -159,11 +159,18 @@ def test_main_rejects_inconsistent_configs(tmp_path, capsys):
     ("lane_width_m = -4", "lane_width_m must be > 0"),
     ("payload_bytes = 4000\nmcs_data_rate_bps = 300000",
      "ITS-G5 airtime must be shorter than base_period_ms - itsg5_jitter_ms"),
+    # A NaN passes every range check; an infinite extent cannot size the histogram.
+    ("speed_mps = nan", "{path}:7: bad value for speed_mps: expected a finite number, got 'nan'"),
+    ("tx_power_dbm = nan",
+     "{path}:7: bad value for tx_power_dbm: expected a finite number, got 'nan'"),
+    ("max_distance_m = inf",
+     "{path}:7: bad value for max_distance_m: expected a finite number, got 'inf'"),
+    ("master_seed = -1", "master_seed must be >= 0"),
 ])
 def test_main_rejects_configs_without_meaningful_results(tmp_path, capsys, lines, message):
     cfg_path = write_config(tmp_path, FAST_CONFIG + lines + "\n")
     assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.splitlines() == [message]
+    assert capsys.readouterr().err.splitlines() == [message.format(path=cfg_path)]
     assert not (tmp_path / "out").exists()
 
 
@@ -191,12 +198,26 @@ def test_cli_overrides():
     assert cfg.out_dir == Path("somewhere")
     assert cfg.jobs == 2
     assert cfg.verbose
+    # Each flag's value goes through its config key's parser, and every bad
+    # one is reported, by flag name.
+    args = build_parser().parse_args(
+        ["--mode", "turbo", "--runs", "1.5", "--seed", "x", "--jobs", "two", "--mix", "inf"])
+    with pytest.raises(ConfigError) as exc:
+        apply_cli(ExperimentConfig(), args)
+    assert [e.split(":")[0] for e in exc.value.errors] == [
+        "--mix", "--mode", "--runs", "--seed", "--jobs"]
 
 
-def test_cli_rejects_bad_mix():
+def test_cli_rejects_bad_mix(tmp_path, capsys):
     args = build_parser().parse_args(["--mix", "abc"])
     with pytest.raises(ConfigError):
         apply_cli(ExperimentConfig(), args)
+    # A bad --runs is reported with the bad --mix, not by argparse alone.
+    assert main(["--runs", "abc", "--mix", "x", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "--mix: could not convert string to float: 'x'",
+        "--runs: invalid literal for int() with base 10: 'abc'"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_seed_is_deterministic_and_distinct():
@@ -282,3 +303,10 @@ def test_main_exit_codes(tmp_path, capsys):
 def test_main_rejects_bad_cli_values(tmp_path, capsys):
     assert main(["--mode", "turbo", "--out", str(tmp_path)]) == 1
     assert "unknown mode" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["master_seed must be >= 0"]
+    assert main(["--mix", "nan", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "--mix: expected a finite number, got 'nan'"]
+    assert not out.exists()

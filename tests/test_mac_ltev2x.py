@@ -13,7 +13,7 @@ from coexsim.mac_ltev2x import (
 )
 
 from conftest import small_engine_config
-from oracles import SpsCounts
+from oracles import SpsCounts, reference_selection
 
 NOISE_MW = 10 ** (-98.0 / 10.0)
 WINDOW_TTIS = SpsConfig().sensing_window_ttis
@@ -30,6 +30,15 @@ def make_scheduler(rng=None, cfg=None, history=None) -> SpsScheduler:
     history = history or flat_history()
     return SpsScheduler(history.blind_now.size, 100, cfg or SpsConfig(), history,
                         rng if rng is not None else np.random.default_rng(42))
+
+
+def picks_over_seeds(sched, now_tti, trials=2000) -> set[int]:
+    """Every TTI sched picks for node 0 at now_tti, over `trials` seeded RNGs."""
+    picks = set()
+    for seed in range(trials):
+        sched.rng = np.random.default_rng(seed)
+        picks.add(sched.select_resource(0, now_tti))
+    return picks
 
 
 class StubRng:
@@ -111,13 +120,12 @@ def test_sensing_history_fallback_outside_window():
 def test_select_resource_window_and_bookkeeping():
     sched = make_scheduler()
     counts = SpsCounts(sched)
-    sel = sched.select_resource(0, 250)
-    assert 251 <= sel.chosen_tti <= 350
-    assert sel.chosen_tti in sel.best_ttis
-    assert sel.best_ttis.size == 20
-    assert sel.pool_ttis.size == 100
-    assert sched.offset[0] == sel.chosen_tti % 100
-    assert sched._next_occurrence(0, 250) == sel.chosen_tti
+    pool, threshold = reference_selection(sched.history, sched, 0, 250)
+    chosen = sched.select_resource(0, 250)
+    assert type(chosen) is int and 251 <= chosen <= 350
+    assert len(pool) == 100 and pool[chosen] <= threshold
+    assert sched.offset[0] == chosen % 100
+    assert sched._next_occurrence(0, 250) == chosen
     assert counts.reselections == 1
 
 
@@ -129,18 +137,33 @@ def test_high_rssi_candidate_is_never_picked():
         h.finalize(t, np.array([val]), np.array([False]))
     for trial in range(100):
         sched = make_scheduler(rng=np.random.default_rng(trial), history=h)
-        sel = sched.select_resource(0, 999)
-        assert sel.chosen_tti % 100 != 37
-        assert not np.any(sel.best_ttis % 100 == 37)
+        pool, threshold = reference_selection(h, sched, 0, 999)
+        chosen = sched.select_resource(0, 999)
+        assert chosen % 100 != 37
+        assert pool[chosen] <= threshold < pool[1037]
+
+
+def test_picks_stay_in_the_reference_best_fifth():
+    # Offset k senses k + 1 times the noise floor: every candidate scores
+    # differently, so the best fifth is offsets 0-19 and nothing else.
+    h = SensingHistory(1, NOISE_MW, WINDOW_TTIS)
+    for t in range(1000):
+        h.finalize(t, np.array([NOISE_MW * (t % 100 + 1)]), np.array([False]))
+    sched = make_scheduler(history=h)
+    pool, threshold = reference_selection(h, sched, 0, 999)
+    best = {t for t, score in pool.items() if score <= threshold}
+    assert best == set(range(1000, 1020))
+    assert picks_over_seeds(sched, 999, trials=500) == best
 
 
 def test_blind_candidate_is_excluded_from_pool():
     h = SensingHistory(1, NOISE_MW, WINDOW_TTIS)
     for t in range(1000):
         h.finalize(t, np.array([NOISE_MW]), np.array([t % 100 == 37]))
-    sel = make_scheduler(history=h).select_resource(0, 999)
-    assert sel.pool_ttis.size == 99
-    assert not np.any(sel.pool_ttis % 100 == 37)
+    sched = make_scheduler(cfg=SpsConfig(best_fraction=1.0), history=h)
+    pool, _ = reference_selection(h, sched, 0, 999)
+    assert len(pool) == 99 and 1037 not in pool
+    assert picks_over_seeds(sched, 999) == set(pool)
 
 
 def announce(sched, tx_node, offset, now_tti, receivers=(0,)):
@@ -149,12 +172,12 @@ def announce(sched, tx_node, offset, now_tti, receivers=(0,)):
 
 
 def test_decoded_reservation_excludes_offset():
-    sched = make_scheduler(history=flat_history(6))
+    sched = make_scheduler(cfg=SpsConfig(best_fraction=1.0), history=flat_history(6))
     announce(sched, 5, offset=7, now_tti=900)
     assert sched.resv_offset[:, 5].tolist() == [7, -1, -1, -1, -1, -1]
-    sel = sched.select_resource(0, 999)
-    assert sel.pool_ttis.size == 99
-    assert not np.any(sel.pool_ttis % 100 == 7)
+    pool, _ = reference_selection(sched.history, sched, 0, 999)
+    assert len(pool) == 99 and 1007 not in pool
+    assert picks_over_seeds(sched, 999) == set(pool)
 
 
 def test_reservation_expires_after_one_second():
@@ -168,12 +191,13 @@ def test_reservation_expires_after_one_second():
 
 
 def test_all_offsets_reserved_falls_back_to_full_pool():
-    sched = make_scheduler(history=flat_history(101))
+    sched = make_scheduler(cfg=SpsConfig(best_fraction=1.0), history=flat_history(101))
     for n in range(100):
         announce(sched, n + 1, offset=n, now_tti=900)
     assert sched.reserved_offset_mask(0, 999).all()
-    sel = sched.select_resource(0, 999)
-    assert sel.pool_ttis.size == 100
+    pool, _ = reference_selection(sched.history, sched, 0, 999)
+    assert len(pool) == 100
+    assert picks_over_seeds(sched, 999) == set(pool)
 
 
 def test_next_occurrence_is_strictly_future():
@@ -242,7 +266,7 @@ def test_selection_covers_most_offsets():
     seen = set()
     for trial in range(2000):
         sched = make_scheduler(rng=np.random.default_rng(trial))
-        seen.add(sched.select_resource(0, 0).chosen_tti % 100)
+        seen.add(sched.select_resource(0, 0) % 100)
     assert len(seen) >= 95
 
 
