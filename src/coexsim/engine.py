@@ -30,7 +30,7 @@ from .channel import (
     rx_power_mw,
     sinr_db,
 )
-from .mac_itsg5 import CsmaConfig, CsmaMac, airtime_us, cca_busy
+from .mac_itsg5 import CsmaConfig, CsmaMac, Phase, airtime_us, cca_busy
 from .mac_ltev2x import OCCUPIED_US, TTI_US, SensingHistory, SpsConfig, SpsScheduler
 from .results import PrrHistogram
 from .scenario import Fleet, RoadConfig, advance_positions, distance_matrix, fleet_errors, spawn
@@ -103,6 +103,12 @@ class EngineConfig:
             errors.append("max_distance_m must be > 0")
         if self.bin_width_m <= 0:
             errors.append("bin_width_m must be > 0")
+        # Receptions nearer than max_distance_m are scored into round(max /
+        # width) bins, so a part-covered last bin would drop or mislabel some.
+        elif self.max_distance_m > 0 and not (
+                (bins := self.max_distance_m / self.bin_width_m) < np.inf
+                and np.isclose(bins, round(bins), rtol=1e-12, atol=0)):
+            errors.append("max_distance_m must be a whole number of bin_width_m")
         # The SPS selection window is one beacon period of whole TTIs, and
         # the sensing history holds whole periods of lags.
         if not traffic_errors:
@@ -178,7 +184,6 @@ class Simulation:
         self.is_lte = np.asarray(fleet.is_lte, dtype=bool)
         self.n = n = self.pos.size
         self.lte_ids = np.nonzero(self.is_lte)[0]
-        self.g5_ids = np.nonzero(~self.is_lte)[0]
 
         self.noise_dbm = noise_floor_dbm(config.link)
         self.noise_mw = 10.0 ** (self.noise_dbm / 10.0)
@@ -186,7 +191,8 @@ class Simulation:
         self.cca_mw = 10.0 ** (config.csma.cca_threshold_dbm / 10.0)
         self.g5_airtime_us = airtime_us(config.traffic.payload_bytes, config.csma)
         pre = config.csma.preamble_threshold_dbm
-        self.preamble_mw = None if pre is None else 10.0 ** (pre / 10.0)
+        # With preamble detection off no frame reaches this level.
+        self.preamble_mw = np.inf if pre is None else 10.0 ** (pre / 10.0)
         self.decode_mw = 10.0 ** (config.sps.decode_threshold_dbm / 10.0)
         self.curve = {
             False: config.itsg5_per_curve or default_itsg5_curve(),
@@ -197,15 +203,10 @@ class Simulation:
                                      config.shadowing.decorr_m, self.rng["shadowing"])
         self._rebuild_geometry()
 
-        self.power_mw = np.zeros(n)
-        self.busy = np.zeros(n, dtype=bool)
-        # per node: how many on-air same-technology frames are preamble-detectable
-        self._preamble_count = np.zeros(n, dtype=int)
-        self.active: dict[int, TxRec] = {}
+        self.active: dict[int, TxRec] = {}  # in start order
         self.tx_end_us = np.zeros(n, dtype=np.int64)  # end of each node's latest frame
-        # Written by each CsmaMac as its phase changes; LTE entries stay False.
-        self.want_busy = np.zeros(n, dtype=bool)
-        self.want_idle = np.zeros(n, dtype=bool)
+        # The nodes whose CsmaMac is in AIFS, COUNT or DEFER, kept by the MACs.
+        self.listening: set[int] = set()
 
         self.macs: list[CsmaMac | None] = [
             None if lte else CsmaMac(i, config.csma, self.rng["backoff"], self)
@@ -214,6 +215,7 @@ class Simulation:
         self.history: SensingHistory | None = None
         self.sps: SpsScheduler | None = None
         if self.lte_ids.size:
+            self.power_mw = np.zeros(n)  # total power on air, for the sensing history
             self.history = SensingHistory(n, self.noise_mw, config.sps.sensing_window_ttis)
             period_ttis = round(config.traffic.base_period_ms * 1000) // TTI_US
             self.sps = SpsScheduler(n, period_ttis, config.sps, self.history, self.rng["sps"])
@@ -244,7 +246,13 @@ class Simulation:
     # -- airlink interface used by the CSMA MACs -----------------------------
 
     def is_busy(self, node: int) -> bool:
-        return bool(self.busy[node])
+        """The node's CCA state, from the frames on air in start order."""
+        power, preambles = 0.0, 0
+        for rec in self.active.values():
+            mw = rec.rx_mw.item(node)  # a float adds as a float64 does, only faster
+            power += mw
+            preambles += not rec.lte and mw >= self.preamble_mw
+        return cca_busy(power, self.noise_mw, self.cca_mw, preambles)
 
     def arm_timer(self, node: int, due_us: int, token: int) -> None:
         self._push(due_us, EV_MACTIMER, (node, token))
@@ -265,38 +273,35 @@ class Simulation:
         np.fill_diagonal(rx_mw, 0.0)
         self.rx_mw = rx_mw
 
-    def _update_busy(self, t_us: int) -> None:
-        if self.g5_ids.size == 0:
-            return  # only CSMA MACs read the CCA state
-        busy_new = cca_busy(self.power_mw, self.noise_mw, self.cca_mw,
-                            self._preamble_count)
-        changed = busy_new != self.busy
-        self.busy = busy_new
-        # An edge reaches only the MACs whose phase acts on it, in ascending
-        # node order, so the backoff draws come in the same order as if every
-        # MAC heard every edge.
-        acting = changed & np.where(busy_new, self.want_busy, self.want_idle)
-        for i in np.nonzero(acting)[0].tolist():
-            if busy_new[i]:
-                self.macs[i].on_busy(t_us)
-            else:
-                self.macs[i].on_idle(t_us)
+    def _dispatch_cca(self, before, t_us: int) -> None:
+        """Send each listening node's CCA edge since `before`, its (node, busy)
+        pairs, to its MAC if the phase acts on it: busy in AIFS or COUNT, idle
+        in DEFER. Edges go out in ascending node order, so the backoff draws
+        come in the same order as if every MAC heard every edge.
+        """
+        for i, was_busy in before:
+            if self.is_busy(i) != was_busy:
+                mac = self.macs[i]
+                if was_busy:
+                    if mac.phase is Phase.DEFER:
+                        mac.on_idle(t_us)
+                elif mac.phase is not Phase.DEFER:
+                    mac.on_busy(t_us)
 
     def _begin_tx(self, node: int, cam: int, t_us: int) -> None:
         if node in self.active:
             raise RuntimeError(f"node {node} is already transmitting")
-        if self.history is not None:
-            self.history.advance(t_us, self.power_mw)
         lte = bool(self.is_lte[node])
         dur = OCCUPIED_US if lte else self.g5_airtime_us
         rec = TxRec(node, lte, cam, t_us, t_us + dur,
                     self.rx_mw[node], self.dist[node], self.n)
+        if self.history is not None:
+            self.history.advance(t_us, self.power_mw)
+            self.power_mw = self.power_mw + rec.rx_mw
+        before = [(i, self.is_busy(i)) for i in sorted(self.listening)] if self.listening else ()
         self.active[node] = rec
         self.tx_end_us[node] = rec.end_us
-        self.power_mw = self.power_mw + rec.rx_mw
-        if not lte and self.preamble_mw is not None:
-            self._preamble_count += rec.rx_mw >= self.preamble_mw
-        self._update_busy(t_us)
+        self._dispatch_cca(before, t_us)
         self._push(rec.end_us, EV_TXEND, rec)
         if lte:
             self.history.blind_now[node] = True
@@ -305,11 +310,12 @@ class Simulation:
             self.counters["tx_itsg5"] += 1
 
     def _end_tx(self, rec: TxRec, t_us: int) -> None:
+        before = [(i, self.is_busy(i)) for i in sorted(self.listening)] if self.listening else ()
         if self.history is not None:
             self.history.advance(t_us, self.power_mw)
+            self.power_mw = np.zeros(self.n)
         del self.active[rec.tx]
         count_at_lte = self.cfg.lte_rx_counts_itsg5_interference
-        power = np.zeros(self.n)
         for other in self.active.values():
             w = t_us - max(rec.start_us, other.start_us)
             if w > 0:
@@ -317,11 +323,9 @@ class Simulation:
                     other.interf_mw_us += rec.rx_mw * w
                 if other.lte or not rec.lte or count_at_lte:
                     rec.interf_mw_us += other.rx_mw * w
-            power += other.rx_mw
-        self.power_mw = power
-        if not rec.lte and self.preamble_mw is not None:
-            self._preamble_count -= rec.rx_mw >= self.preamble_mw
-        self._update_busy(t_us)
+            if self.history is not None:
+                self.power_mw += other.rx_mw
+        self._dispatch_cca(before, t_us)
         self._deliver(rec, t_us)
         mac = self.macs[rec.tx]
         if mac is not None:

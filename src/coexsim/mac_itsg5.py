@@ -62,7 +62,7 @@ def airtime_us(payload_bytes: int, cfg: CsmaConfig) -> int:
 
 
 def cca_busy(power_mw, noise_mw, cca_mw, preamble_count):
-    """Two-tier CCA per node (elementwise over arrays).
+    """Two-tier CCA of one node from its scalars, or elementwise over arrays.
 
     Busy when the total in-band power of both technologies plus noise reaches
     the energy threshold, or when at least one decodable ITS-G5 preamble is
@@ -83,11 +83,10 @@ class CsmaMac:
     """Per-vehicle CSMA/CA state machine, advanced by CCA transitions and timers.
 
     The airlink object supplies `is_busy(node)`, `arm_timer(node, due_us, token)`
-    and `start_tx(node, cam, now_us)`, plus two bool arrays indexed by node
-    that the MAC keeps equal to its phase: `want_busy` (AIFS or COUNT, the
-    phases a busy edge acts on) and `want_idle` (DEFER, the one phase an idle
-    edge acts on). Timers are cancelled lazily: each arm gets a fresh token and
-    stale fires are ignored.
+    and `start_tx(node, cam, now_us)`, plus the set `listening`, which holds
+    the node exactly while its phase is AIFS, COUNT or DEFER, the phases a CCA
+    edge can act on. Timers are cancelled lazily: each arm gets a fresh token
+    and stale fires are ignored.
 
     Access procedure: a fresh packet on an idle channel transmits after a full
     AIFS of continuous idle sensing, with no backoff. If the channel is or
@@ -118,8 +117,10 @@ class CsmaMac:
     @phase.setter
     def phase(self, phase: Phase) -> None:
         self._phase = phase
-        self.airlink.want_busy[self.node] = phase is Phase.AIFS or phase is Phase.COUNT
-        self.airlink.want_idle[self.node] = phase is Phase.DEFER
+        if phase is Phase.IDLE or phase is Phase.TX:
+            self.airlink.listening.discard(self.node)
+        else:
+            self.airlink.listening.add(self.node)
 
     def _arm(self, due_us: int) -> None:
         self._token += 1

@@ -7,7 +7,8 @@ The instruments observe a Simulation from outside: each wraps methods of one
 instance and records what passes through before the run starts, so the
 package carries no recording flags of its own. AllCcaEdges (the reference
 CCA dispatch) and ContinuousLte (a saturation driver) are Simulation
-subclasses.
+subclasses. Both CCA references read the channel through cca_vector, which
+sums the frames on air itself and never asks the engine for a node's state.
 """
 
 import csv
@@ -58,26 +59,57 @@ def read_csv(path) -> list[dict]:
     return rows
 
 
+def air_power(sim: Simulation) -> tuple[np.ndarray, np.ndarray]:
+    """(power_mw, preambles) at every node from the frames on air: the total
+    received power, summed in start order from zero, and how many ITS-G5
+    frames arrive at or above the preamble detection threshold."""
+    power = np.zeros(sim.n)
+    preambles = np.zeros(sim.n, dtype=int)
+    pre_dbm = sim.cfg.csma.preamble_threshold_dbm
+    for rec in sim.active.values():
+        power += rec.rx_mw
+        if not rec.lte and pre_dbm is not None:
+            preambles += rec.rx_mw >= 10.0 ** (pre_dbm / 10.0)
+    return power, preambles
+
+
+def cca_vector(sim: Simulation) -> np.ndarray:
+    """The two-tier CCA state of every node, from air_power."""
+    power, preambles = air_power(sim)
+    return cca_busy(power, sim.noise_mw, sim.cca_mw, preambles)
+
+
 def record_cca(sim: Simulation) -> tuple[dict[int, list[tuple[int, bool]]],
                                          list[tuple[int, int]]]:
     """Record every CCA edge of each ITS-G5 node and every CSMA transmission.
 
     Returns (edges, starts): edges[node] lists (t_us, busy) for each change of
-    the node's sensed channel state, read from the engine's CCA vector whether
-    or not the node's MAC is told, and starts lists (t_us, node) for each
-    frame a CSMA MAC puts on air. Both fill in as the run proceeds.
+    the node's sensed channel state, from the full cca_vector after every
+    frame start and end whether or not the node's MAC listens, and starts
+    lists (t_us, node) for each frame a CSMA MAC puts on air. Both fill in as
+    the run proceeds.
     """
-    edges = {int(i): [] for i in sim.g5_ids}
-    update_busy = sim._update_busy
+    edges = {i: [] for i in np.flatnonzero(~sim.is_lte).tolist()}
+    busy = cca_vector(sim)
 
-    def cca_spy(t_us):
-        before = sim.busy.copy()
-        update_busy(t_us)
-        for i in np.flatnonzero(sim.busy != before).tolist():
+    def note_edges(t_us):
+        nonlocal busy
+        before, busy = busy, cca_vector(sim)
+        for i in np.flatnonzero(busy != before).tolist():
             if i in edges:
-                edges[i].append((t_us, bool(sim.busy[i])))
+                edges[i].append((t_us, bool(busy[i])))
 
-    sim._update_busy = cca_spy
+    begin_tx, end_tx = sim._begin_tx, sim._end_tx
+
+    def begin_spy(node, cam, t_us):
+        begin_tx(node, cam, t_us)
+        note_edges(t_us)
+
+    def end_spy(rec, t_us):
+        end_tx(rec, t_us)
+        note_edges(t_us)
+
+    sim._begin_tx, sim._end_tx = begin_spy, end_spy
     starts = []
     start_tx = sim.start_tx
 
@@ -188,12 +220,21 @@ class SpsCounts:
 
 
 class AllCcaEdges(Simulation):
-    """Reference dispatch: every CCA edge goes to every ITS-G5 MAC, in
-    ascending node order, and each MAC decides for itself whether it acts."""
+    """Reference dispatch: at each frame start and end (the engine's
+    _dispatch_cca hook), the full cca_vector is taken and every CCA edge goes
+    to every ITS-G5 MAC, in ascending node order; each MAC decides for itself
+    whether it acts. The MACs also read their CCA state from that vector, not
+    from the engine's is_busy."""
 
-    def _update_busy(self, t_us: int) -> None:
-        busy_new = cca_busy(self.power_mw, self.noise_mw, self.cca_mw,
-                            self._preamble_count)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.busy = cca_vector(self)
+
+    def is_busy(self, node: int) -> bool:
+        return bool(self.busy[node])
+
+    def _dispatch_cca(self, before, t_us: int) -> None:
+        busy_new = cca_vector(self)
         changed = np.nonzero(busy_new != self.busy)[0]
         self.busy = busy_new
         for i in changed:

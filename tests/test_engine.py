@@ -20,7 +20,7 @@ from coexsim.scenario import Fleet, RoadConfig, fleet_errors
 from coexsim.traffic import TrafficConfig, TrafficMode
 
 from conftest import small_engine_config
-from oracles import AllCcaEdges, ContinuousLte, record_cca
+from oracles import AllCcaEdges, ContinuousLte, air_power, cca_vector, record_cca
 
 NO_SHADOW = ShadowingConfig(sigma_db=0.0)
 
@@ -46,6 +46,17 @@ def test_invalid_config_rejected():
         Simulation(small_engine_config(measure_s=0.0), seed=1)
     with pytest.raises(ValueError, match="itsg5_fraction"):
         Simulation(small_engine_config(itsg5_fraction=1.5), seed=1)
+
+
+@pytest.mark.parametrize("max_m, width_m, ok", [
+    (500.0, 10.0, True), (0.3, 0.1, True), (505.0, 10.0, False), (495.0, 10.0, False),
+    (500.0, 30.0, False), (5.0, 10.0, False), (np.inf, 10.0, False),
+])
+def test_histogram_range_must_be_whole_bins(max_m, width_m, ok):
+    # The histogram holds round(max / width) bins while every reception
+    # nearer than max_distance_m is scored, so the two must agree.
+    errors = small_engine_config(max_distance_m=max_m, bin_width_m=width_m).validate()
+    assert errors == ([] if ok else ["max_distance_m must be a whole number of bin_width_m"])
 
 
 TWO_KM = RoadConfig(length_m=2000.0)  # 3 lanes per direction
@@ -264,8 +275,9 @@ def test_mixed_run_populates_reservations():
     resv = sim.sps.resv_offset
     assert (resv >= 0).any()
     # Only LTE nodes decode control messages, and only LTE nodes announce.
-    assert (resv[sim.g5_ids] == -1).all()
-    assert (resv[:, sim.g5_ids] == -1).all()
+    g5 = ~sim.is_lte
+    assert (resv[g5] == -1).all()
+    assert (resv[:, g5] == -1).all()
 
 
 def test_second_start_of_an_active_transmitter_is_an_error():
@@ -401,17 +413,19 @@ def test_concurrent_power_sums_and_two_tier_sensing():
     fleet = lane_zero([0.0, 200.0, 100.0])
     cfg = small_engine_config(itsg5_fraction=1.0, shadowing=NO_SHADOW, warm_up_s=0.0)
     sim = Simulation(cfg, seed=1, fleet=fleet)
-    assert not sim.busy.any()
+    assert not any(sim.is_busy(i) for i in range(sim.n))
     sim._begin_tx(0, 0, 0)
     sim._begin_tx(1, 0, 0)
     # Middle node hears both 100 m neighbours at about -71 dBm each.
     per_link = rx_power_mw(path_loss_db(100.0, cfg.link), 0.0, cfg.link)
-    assert sim.power_mw[2] == pytest.approx(2 * per_link, rel=1e-9)
-    total_dbm = 10 * np.log10(sim.power_mw[2])
+    power_mw, preambles = air_power(sim)
+    assert power_mw[2] == pytest.approx(2 * per_link, rel=1e-9)
+    total_dbm = 10 * np.log10(power_mw[2])
     assert total_dbm == pytest.approx(-68.05, abs=0.01)
     # Below the -65 dBm energy gate, yet busy through preamble detection.
     assert total_dbm < cfg.csma.cca_threshold_dbm
-    assert sim.busy[2]
+    assert preambles[2] == 2
+    assert sim.is_busy(2)
     # Concurrent transmitters are mutually half-duplex; the middle node hears both.
     end_us = sim.active[0].end_us
     sim._end_tx(sim.active[0], end_us)
@@ -475,7 +489,8 @@ def test_energy_only_sensing_ignores_sub_threshold_preambles():
     cfg.csma.preamble_threshold_dbm = None
     sim = Simulation(cfg, seed=1, fleet=fleet)
     sim._begin_tx(0, 0, 0)
-    assert not sim.busy[1]  # -71 dBm is below the energy gate
+    assert not sim.is_busy(1)  # -71 dBm is below the energy gate
+    assert air_power(sim)[1][1] == 0
 
 
 @pytest.mark.parametrize("overrides", [
@@ -493,25 +508,37 @@ def test_filtered_cca_dispatch_matches_every_mac_hearing_every_edge(overrides):
     assert log.digest() == AllCcaEdges(cfg, seed=5).run().digest()
 
 
-def test_cca_masks_follow_mac_phases(monkeypatch):
+def test_listener_set_and_cca_reads_follow_the_run(monkeypatch):
     sim = Simulation(small_engine_config(itsg5_fraction=0.5), seed=5)
-    g5, lte = sim.g5_ids, sim.lte_ids
-    seen = set()
+    g5, lte = np.flatnonzero(~sim.is_lte), sim.lte_ids
+    seen, busy_reads = set(), 0
 
     def checked_heappop(heap):
         # Called before each event, so it sees the state after the last one.
-        phases = [sim.macs[i].phase for i in g5]
-        seen.update(phases)
-        assert sim.want_busy[g5].tolist() == [p in (Phase.AIFS, Phase.COUNT)
-                                              for p in phases]
-        assert sim.want_idle[g5].tolist() == [p is Phase.DEFER for p in phases]
-        assert not sim.want_busy[lte].any() and not sim.want_idle[lte].any()
+        nonlocal busy_reads
+        phases = {i: sim.macs[i].phase for i in g5.tolist()}
+        seen.update(phases.values())
+        assert sim.listening == {i for i, p in phases.items()
+                                 if p in (Phase.AIFS, Phase.COUNT, Phase.DEFER)}
+        # Every node's CCA read equals the full vector summed by the oracle.
+        reads = [sim.is_busy(i) for i in range(sim.n)]
+        assert reads == cca_vector(sim).tolist()
+        busy_reads += sum(reads)
         return heapq.heappop(heap)
 
     monkeypatch.setattr(eng, "heapq", SimpleNamespace(heappush=heapq.heappush,
                                                        heappop=checked_heappop))
     sim.run()
-    assert lte.size > 0 and seen == set(Phase)
+    assert lte.size > 0 and seen == set(Phase) and busy_reads > 0
+
+
+def test_all_lte_run_reads_no_cca(monkeypatch):
+    def no_cca(sim, node):
+        raise AssertionError(f"CCA read at node {node} in a run with no CSMA MAC")
+
+    monkeypatch.setattr(Simulation, "is_busy", no_cca)
+    log = Simulation(small_engine_config(itsg5_fraction=0.0), seed=5).run()
+    assert log.counters["tx_ltev2x"] > 0
 
 
 def test_all_itsg5_run_keeps_no_sensing_history():

@@ -166,6 +166,10 @@ def test_main_rejects_inconsistent_configs(tmp_path, capsys):
     ("max_distance_m = inf",
      "{path}:7: bad value for max_distance_m: expected a finite number, got 'inf'"),
     ("master_seed = -1", "master_seed must be >= 0"),
+    # A part-covered last bin would disagree with the scored receptions.
+    ("max_distance_m = 505", "max_distance_m must be a whole number of bin_width_m"),
+    ("max_distance_m = 500\nbin_width_m = 30",
+     "max_distance_m must be a whole number of bin_width_m"),
 ])
 def test_main_rejects_configs_without_meaningful_results(tmp_path, capsys, lines, message):
     cfg_path = write_config(tmp_path, FAST_CONFIG + lines + "\n")

@@ -13,19 +13,18 @@ CFG = CsmaConfig()
 class FakeAirlink:
     """Records timer arms and transmissions; busy state is set by the test.
 
-    Serves one MAC, node 0, whose phase masks it holds.
+    Serves one MAC, node 0, and holds the set of listening nodes it keeps.
     """
 
     def __init__(self, busy=False):
         self.busy = busy
         self.timers = []
         self.txs = []
-        self.want_busy = np.zeros(1, dtype=bool)
-        self.want_idle = np.zeros(1, dtype=bool)
+        self.listening = set()
 
-    def masks(self):
-        """(want_busy, want_idle) of node 0."""
-        return bool(self.want_busy[0]), bool(self.want_idle[0])
+    def listens(self):
+        """Whether node 0 is in the listening set."""
+        return 0 in self.listening
 
     def is_busy(self, node):
         return self.busy
@@ -115,27 +114,27 @@ def test_idle_channel_transmits_after_aifs_without_backoff():
 
 
 def test_busy_arrival_defers_then_counts_down_with_freeze():
-    # The phase masks tell the engine which CCA edges this MAC acts on:
-    # busy edges in AIFS and COUNT, idle edges in DEFER, none otherwise.
+    # The listening set tells the engine which MACs a CCA edge can act on:
+    # those in AIFS, COUNT or DEFER, none otherwise.
     air = FakeAirlink(busy=True)
     mac = CsmaMac(0, CFG, ScriptedRng([5]), air)
-    assert air.masks() == (False, False)
+    assert not air.listens()
     mac.on_packet_ready(0, 0)
     assert mac.phase is Phase.DEFER
-    assert air.masks() == (False, True)
+    assert air.listens()
     assert air.timers == []
 
     # Busy -> idle: the backoff counter is drawn once, then AIFS restarts.
     air.busy = False
     mac.on_idle(1000)
     assert mac.backoff_slots == 5
-    assert air.masks() == (True, False)
+    assert air.listens()
     due, t1 = air.timers[-1]
     assert due == 1110
 
     mac.on_timer(1110, t1)
     assert mac.phase is Phase.COUNT
-    assert air.masks() == (True, False)
+    assert air.listens()
     due, t2 = air.timers[-1]
     assert due == 1110 + 5 * 13
 
@@ -144,7 +143,7 @@ def test_busy_arrival_defers_then_counts_down_with_freeze():
     mac.on_busy(1136)
     assert mac.phase is Phase.DEFER
     assert mac.backoff_slots == 3  # 26 us elapsed -> 2 whole slots
-    assert air.masks() == (False, True)
+    assert air.listens()
     mac.on_timer(1175, t2)  # stale timer fires harmlessly
     assert air.txs == []
 
@@ -160,10 +159,10 @@ def test_busy_arrival_defers_then_counts_down_with_freeze():
     mac.on_timer(due, t4)
     assert air.txs == [(2149, 0)]
     assert mac.phase is Phase.TX
-    assert air.masks() == (False, False)
+    assert not air.listens()
     mac.on_tx_complete(2661)
     assert mac.phase is Phase.IDLE
-    assert air.masks() == (False, False)
+    assert not air.listens()
 
 
 def test_busy_starting_exactly_at_window_end_does_not_cancel():
