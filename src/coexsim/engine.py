@@ -107,7 +107,7 @@ class EngineConfig:
         # width) bins, so a part-covered last bin would drop or mislabel some.
         elif self.max_distance_m > 0 and not (
                 (bins := self.max_distance_m / self.bin_width_m) < np.inf
-                and np.isclose(bins, round(bins), rtol=1e-12, atol=0)):
+                and abs(bins - round(bins)) <= 1e-12 * bins):
             errors.append("max_distance_m must be a whole number of bin_width_m")
         # The SPS selection window is one beacon period of whole TTIs, and
         # the sensing history holds whole periods of lags.
