@@ -30,7 +30,7 @@ from .channel import (
     rx_power_mw,
     sinr_db,
 )
-from .mac_itsg5 import CsmaConfig, CsmaMac, Phase, airtime_us, cca_busy
+from .mac_itsg5 import CsmaConfig, CsmaMac, airtime_us, cca_busy
 from .mac_ltev2x import OCCUPIED_US, TTI_US, SensingHistory, SpsConfig, SpsScheduler
 from .results import PrrHistogram
 from .scenario import Fleet, RoadConfig, advance_positions, distance_matrix, fleet_errors, spawn
@@ -142,6 +142,7 @@ class RunLog:
         return h.hexdigest()
 
 
+@dataclass(slots=True)
 class TxRec:
     """One on-air transmission with its receive-side snapshots.
 
@@ -149,19 +150,14 @@ class TxRec:
     is accumulated per receiver in mW*us as overlapping transmissions end.
     """
 
-    __slots__ = ("tx", "lte", "t_gen_us", "start_us", "end_us", "rx_mw", "dist_m",
-                 "interf_mw_us")
-
-    def __init__(self, tx: int, lte: bool, t_gen_us: int, start_us: int, end_us: int,
-                 rx_mw: np.ndarray, dist_m: np.ndarray, n: int):
-        self.tx = tx
-        self.lte = lte
-        self.t_gen_us = t_gen_us
-        self.start_us = start_us
-        self.end_us = end_us
-        self.rx_mw = rx_mw
-        self.dist_m = dist_m
-        self.interf_mw_us = np.zeros(n)
+    tx: int
+    lte: bool
+    t_gen_us: int
+    start_us: int
+    end_us: int
+    rx_mw: np.ndarray
+    dist_m: np.ndarray
+    interf_mw_us: np.ndarray
 
 
 class Simulation:
@@ -215,7 +211,6 @@ class Simulation:
         self.history: SensingHistory | None = None
         self.sps: SpsScheduler | None = None
         if self.lte_ids.size:
-            self.power_mw = np.zeros(n)  # total power on air, for the sensing history
             self.history = SensingHistory(n, self.noise_mw, config.sps.sensing_window_ttis)
             period_ttis = round(config.traffic.base_period_ms * 1000) // TTI_US
             self.sps = SpsScheduler(n, period_ttis, config.sps, self.history, self.rng["sps"])
@@ -270,23 +265,22 @@ class Simulation:
         self.dist = distance_matrix(self.pos, self.lane, cfg.road.lane_width_m)
         pl = path_loss_db(self.dist, cfg.link)
         rx_mw = rx_power_mw(pl, self.shadow.values_db, cfg.link)
+        # A node is never its own receiver.
         np.fill_diagonal(rx_mw, 0.0)
+        np.fill_diagonal(self.dist, np.inf)
         self.rx_mw = rx_mw
 
     def _dispatch_cca(self, before, t_us: int) -> None:
         """Send each listening node's CCA edge since `before`, its (node, busy)
-        pairs, to its MAC if the phase acts on it: busy in AIFS or COUNT, idle
-        in DEFER. Edges go out in ascending node order, so the backoff draws
-        come in the same order as if every MAC heard every edge.
-        """
+        pairs, to its MAC, which decides whether to act: on_idle on a turn to
+        idle, on_busy on a turn to busy. Edges go out in ascending node order,
+        so the backoff draws come as if every MAC heard every edge."""
         for i, was_busy in before:
             if self.is_busy(i) != was_busy:
-                mac = self.macs[i]
                 if was_busy:
-                    if mac.phase is Phase.DEFER:
-                        mac.on_idle(t_us)
-                elif mac.phase is not Phase.DEFER:
-                    mac.on_busy(t_us)
+                    self.macs[i].on_idle(t_us)
+                else:
+                    self.macs[i].on_busy(t_us)
 
     def _begin_tx(self, node: int, cam: int, t_us: int) -> None:
         if node in self.active:
@@ -294,26 +288,20 @@ class Simulation:
         lte = bool(self.is_lte[node])
         dur = OCCUPIED_US if lte else self.g5_airtime_us
         rec = TxRec(node, lte, cam, t_us, t_us + dur,
-                    self.rx_mw[node], self.dist[node], self.n)
+                    self.rx_mw[node], self.dist[node], np.zeros(self.n))
         if self.history is not None:
-            self.history.advance(t_us, self.power_mw)
-            self.power_mw = self.power_mw + rec.rx_mw
+            self.history.advance(t_us, self.active.values())
         before = [(i, self.is_busy(i)) for i in sorted(self.listening)] if self.listening else ()
         self.active[node] = rec
         self.tx_end_us[node] = rec.end_us
         self._dispatch_cca(before, t_us)
         self._push(rec.end_us, EV_TXEND, rec)
-        if lte:
-            self.history.blind_now[node] = True
-            self.counters["tx_ltev2x"] += 1
-        else:
-            self.counters["tx_itsg5"] += 1
+        self.counters["tx_ltev2x" if lte else "tx_itsg5"] += 1
 
     def _end_tx(self, rec: TxRec, t_us: int) -> None:
         before = [(i, self.is_busy(i)) for i in sorted(self.listening)] if self.listening else ()
         if self.history is not None:
-            self.history.advance(t_us, self.power_mw)
-            self.power_mw = np.zeros(self.n)
+            self.history.advance(t_us, self.active.values())
         del self.active[rec.tx]
         count_at_lte = self.cfg.lte_rx_counts_itsg5_interference
         for other in self.active.values():
@@ -323,8 +311,6 @@ class Simulation:
                     other.interf_mw_us += rec.rx_mw * w
                 if other.lte or not rec.lte or count_at_lte:
                     rec.interf_mw_us += other.rx_mw * w
-            if self.history is not None:
-                self.power_mw += other.rx_mw
         self._dispatch_cca(before, t_us)
         self._deliver(rec, t_us)
         mac = self.macs[rec.tx]
@@ -361,8 +347,6 @@ class Simulation:
         rx_mw = np.stack([r.rx_mw for r in recs])
         dist = np.stack([r.dist_m for r in recs])
         mask = (rx_mw >= self.relevance_mw) & (dist < self.cfg.max_distance_m)
-        # An infinite relevance margin admits the sender's own 0 mW entry.
-        mask[np.arange(len(recs)), [r.tx for r in recs]] = False
         row, col = np.nonzero(mask)
         lte = np.array([r.lte for r in recs])[row]
         dur_us = np.array([r.end_us - r.start_us for r in recs])[row]
@@ -394,7 +378,7 @@ class Simulation:
             return
         # Selection reads only the TTIs that have ended; integrating into the
         # open TTI here would split its segments and change their float sum.
-        self.history.advance(t_us - t_us % TTI_US, self.power_mw)
+        self.history.advance(t_us - t_us % TTI_US, self.active.values())
         # The slot lies within one period, at or before the node's next CAM
         # (EV_SLOT sorts first), so a node holds at most one pending CAM.
         tx_tti = self.sps.on_generation(node, t_us // TTI_US)

@@ -43,8 +43,8 @@ class SensingHistory:
     Rows are a ring buffer keyed by tti % window. Unwritten or not yet
     finalized TTIs read back as the noise floor and non-blind, which doubles
     as the cold-start prior. Blind rows mark TTIs the node spent transmitting.
-    The open TTI fills in as time advances: its power is integrated over the
-    occupied symbols, and a node that starts transmitting sets blind_now.
+    The open TTI fills in from the frames on air as time advances: their
+    power is integrated over the occupied symbols, and LTE senders set blind_now.
     """
 
     def __init__(self, n_nodes: int, noise_mw: float, window_ttis: int):
@@ -57,11 +57,17 @@ class SensingHistory:
         self._acc_mw_us = np.zeros(n_nodes)
         self._t_us = 0
 
-    def advance(self, t_us: int, power_mw: np.ndarray) -> None:
-        """Integrate power_mw, constant since the last call, up to t_us and
-        finalize every TTI that has ended by then."""
+    def advance(self, t_us: int, frames) -> None:
+        """Integrate the frames on air since the last call up to t_us, their
+        power summed in start order from zero as CCA sums it, mark their LTE
+        senders blind, and finalize every TTI that has ended by then."""
         if t_us <= self._t_us:
             return
+        power_mw = 0.0  # a float while nothing is on air
+        for rec in frames:
+            power_mw = power_mw + rec.rx_mw
+            if rec.lte:
+                self.blind_now[rec.tx] = True
         while True:
             tti = self.last_finalized_tti + 1
             start = tti * TTI_US
