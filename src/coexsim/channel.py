@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .validation import nonfinite_errors
+
 SPEED_OF_LIGHT_MPS = 3.0e8
 # Antennas at 1.5 m over a 1.0 m effective environment height.
 EFFECTIVE_ANTENNA_HEIGHT_M = 0.5
@@ -24,10 +26,10 @@ class LinkBudgetConfig:
     carrier_ghz: float = 5.9
 
     def validate(self) -> list[str]:
-        errors = []
-        if self.bandwidth_hz <= 0:
+        errors = nonfinite_errors(self)
+        if not self.bandwidth_hz > 0:
             errors.append("bandwidth_hz must be > 0")
-        if self.carrier_ghz <= 0:
+        if not self.carrier_ghz > 0:
             errors.append("carrier_ghz must be > 0")
         return errors
 
@@ -195,9 +197,9 @@ class ShadowingConfig:
     decorr_m: float = 25.0
 
     def validate(self) -> list[str]:
-        errors = []
-        if self.sigma_db < 0:
+        errors = nonfinite_errors(self)
+        if not self.sigma_db >= 0:
             errors.append("shadowing_sigma_db must be >= 0")
-        if self.decorr_m <= 0:
+        if not self.decorr_m > 0:
             errors.append("shadowing_decorr_m must be > 0")
         return errors

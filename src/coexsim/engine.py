@@ -35,6 +35,7 @@ from .mac_ltev2x import OCCUPIED_US, TTI_US, SensingHistory, SpsConfig, SpsSched
 from .results import PrrHistogram
 from .scenario import Fleet, RoadConfig, advance_positions, distance_matrix, fleet_errors, spawn
 from .traffic import CamSource, TrafficConfig
+from .validation import nonfinite_errors
 
 EV_MOBILITY = 0
 EV_TXEND = 1
@@ -54,6 +55,9 @@ DIGEST_COUNTERS = ("cams_dropped", "cams_generated", "counted_tx", "lte_silent_p
 # Delivered frames are scored in batches of at most this many; the cap bounds
 # the batch's per-pair temporaries.
 SCORE_BATCH = 64
+
+# The most distance bins a histogram may have: max_distance_m / bin_width_m.
+MAX_BINS = 100_000
 
 
 @dataclass
@@ -83,7 +87,9 @@ class EngineConfig:
     lte_rx_counts_itsg5_interference: bool = True
 
     def validate(self) -> list[str]:
-        errors = []
+        # relevance_margin_db may be +inf (every receiver is relevant), and an
+        # infinite max_distance_m fails the whole-bins check below.
+        errors = nonfinite_errors(self, "relevance_margin_db", "max_distance_m")
         errors += self.road.validate()
         errors += self.link.validate()
         errors += self.shadowing.validate()
@@ -93,15 +99,17 @@ class EngineConfig:
         errors += self.sps.validate()
         if not 0.0 <= self.itsg5_fraction <= 1.0:
             errors.append("itsg5_fraction must be in [0,1]")
-        if self.warm_up_s < 0:
+        if not self.warm_up_s >= 0:
             errors.append("warm_up_s must be >= 0")
-        if self.measure_s <= 0:
+        if not self.measure_s > 0:
             errors.append("measure_s must be > 0")
-        if self.mobility_update_ms <= 0:
+        if not self.mobility_update_ms > 0:
             errors.append("mobility_update_ms must be > 0")
-        if self.max_distance_m <= 0:
+        if not self.relevance_margin_db > -np.inf:
+            errors.append("relevance_margin_db must be a number or +inf")
+        if not self.max_distance_m > 0:
             errors.append("max_distance_m must be > 0")
-        if self.bin_width_m <= 0:
+        if not self.bin_width_m > 0:
             errors.append("bin_width_m must be > 0")
         # Receptions nearer than max_distance_m are scored into round(max /
         # width) bins, so a part-covered last bin would drop or mislabel some.
@@ -109,6 +117,8 @@ class EngineConfig:
                 (bins := self.max_distance_m / self.bin_width_m) < np.inf
                 and abs(bins - round(bins)) <= 1e-12 * bins):
             errors.append("max_distance_m must be a whole number of bin_width_m")
+        elif self.max_distance_m > 0 and bins > MAX_BINS:
+            errors.append(f"max_distance_m / bin_width_m must be at most {MAX_BINS} bins")
         # The SPS selection window is one beacon period of whole TTIs, and
         # the sensing history holds whole periods of lags.
         if not traffic_errors:

@@ -16,6 +16,7 @@ from .engine import EngineConfig
 from .engine import run as run_simulation
 from .results import aggregate, csv_filename, summary_table, write_csv, write_plot_script
 from .traffic import TrafficMode
+from .validation import nonfinite_errors
 
 
 class ConfigError(Exception):
@@ -42,15 +43,15 @@ class ExperimentConfig:
     ltev2x_per_csv: str | None = None
 
     def validate(self) -> list[str]:
-        errors = self.engine.validate()
+        errors = self.engine.validate() + nonfinite_errors(self)
         if not self.mix_fractions:
             errors.append("mix_fractions must be non-empty")
-        for x in self.mix_fractions:
-            if not 0.0 <= x <= 1.0:
-                errors.append(f"mix_fractions entry {x} out of [0,1]")
+        errors += [f"mix_fractions entry {x} out of [0,1]"
+                   for x in self.mix_fractions if not 0.0 <= x <= 1.0]
+        mixes = [x for x in self.mix_fractions if 0.0 <= x <= 1.0]
         # Each mix needs its own output files and its own seed streams.
-        for i, a in enumerate(self.mix_fractions):
-            for b in self.mix_fractions[i + 1:]:
+        for i, a in enumerate(mixes):
+            for b in mixes[i + 1:]:
                 shared = [csv_filename(m.value, a) for m in self.modes
                           if csv_filename(m.value, a) == csv_filename(m.value, b)]
                 if shared:
@@ -61,11 +62,11 @@ class ExperimentConfig:
                                   f"seed key {_mix_key(a)}")
         if not self.modes:
             errors.append("modes must be non-empty")
-        if self.runs < 1:
+        if not self.runs >= 1:
             errors.append("runs must be >= 1")
-        if self.master_seed < 0:
+        if not self.master_seed >= 0:
             errors.append("master_seed must be >= 0")
-        if self.jobs < 1:
+        if not self.jobs >= 1:
             errors.append("jobs must be >= 1")
         return errors
 

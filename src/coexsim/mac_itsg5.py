@@ -8,6 +8,8 @@ from enum import Enum
 
 import numpy as np
 
+from .validation import nonfinite_errors
+
 PREAMBLE_SIG_US = 40
 SYMBOL_US = 8
 SERVICE_TAIL_BITS = 22
@@ -33,17 +35,18 @@ class CsmaConfig:
     mcs_data_rate_bps: float = 6.0e6
 
     def validate(self) -> list[str]:
-        errors = []
-        if self.aifs_us <= 0:
+        errors = nonfinite_errors(self)
+        if not self.aifs_us > 0:
             errors.append("aifs_us must be > 0")
-        if self.slot_us <= 0:
+        if not self.slot_us > 0:
             errors.append("slot_us must be > 0")
-        if self.cw_max_slots < 0:
+        if not self.cw_max_slots >= 0:
             errors.append("cw_max_slots must be >= 0")
         if (self.preamble_threshold_dbm is not None
-                and self.preamble_threshold_dbm >= self.cca_threshold_dbm):
+                and not self.preamble_threshold_dbm < self.cca_threshold_dbm):
             errors.append("preamble_threshold_dbm must be below cca_threshold_dbm")
-        if round(self.mcs_data_rate_bps * SYMBOL_US * 1e-6) < 1:
+        bits_per_symbol = self.mcs_data_rate_bps * SYMBOL_US * 1e-6
+        if not (math.isfinite(bits_per_symbol) and round(bits_per_symbol) >= 1):
             errors.append("mcs_data_rate_bps must carry at least one bit per symbol")
         return errors
 

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .validation import nonfinite_errors
+
 # Globally synchronized 1 ms scheduling grid; the last OFDM symbol of every
 # TTI (71 us) is an unused guard.
 TTI_US = 1000
@@ -23,16 +25,16 @@ class SpsConfig:
     reservation_expiry_ttis: int = 1000
 
     def validate(self) -> list[str]:
-        errors = []
+        errors = nonfinite_errors(self)
         if not 0.0 <= self.keep_probability <= 1.0:
             errors.append("keep_probability must be in [0,1]")
         if not 1 <= self.counter_min <= self.counter_max:
             errors.append("reselection counter range must satisfy 1 <= min <= max")
-        if self.sensing_window_ttis < 1:
+        if not self.sensing_window_ttis >= 1:
             errors.append("sensing_window_ttis must be >= 1")
         if not 0.0 < self.best_fraction <= 1.0:
             errors.append("best_fraction must be in (0,1]")
-        if self.reservation_expiry_ttis < 1:
+        if not self.reservation_expiry_ttis >= 1:
             errors.append("reservation_expiry_ttis must be >= 1")
         return errors
 

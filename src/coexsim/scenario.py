@@ -8,6 +8,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .validation import nonfinite_errors
+
+# Every run holds several n x n float64 matrices (about 32 MB each at this
+# bound), so larger fleets are rejected rather than left to exhaust memory.
+MAX_VEHICLES = 2000
+
 
 @dataclass
 class RoadConfig:
@@ -20,17 +26,20 @@ class RoadConfig:
     speed_mps: float = 38.889  # 140 km/h
 
     def validate(self) -> list[str]:
-        errors = []
-        if self.length_m <= 0:
+        errors = nonfinite_errors(self)
+        if not self.length_m > 0:
             errors.append("length_m must be > 0")
-        if self.lanes_per_direction < 1:
+        if not self.lanes_per_direction >= 1:
             errors.append("lanes_per_direction must be >= 1")
-        if self.lane_width_m <= 0:
+        if not self.lane_width_m > 0:
             errors.append("lane_width_m must be > 0")
-        if self.density_veh_per_km <= 0:
+        if not self.density_veh_per_km > 0:
             errors.append("density_veh_per_km must be > 0")
-        if self.speed_mps < 0:
+        if not self.speed_mps >= 0:
             errors.append("speed_mps must be >= 0")
+        if not errors and vehicle_count(self) > MAX_VEHICLES:
+            errors.append(f"density_veh_per_km * length_m / 1000 must be at most "
+                          f"{MAX_VEHICLES} vehicles")
         return errors
 
 
@@ -49,6 +58,8 @@ def fleet_errors(fleet: Fleet, road: RoadConfig) -> list[str]:
     errors = []
     if not (pos.ndim == 1 and pos.shape == lane.shape == is_lte.shape):
         errors.append("fleet arrays must be 1-D and of equal length")
+    if pos.size > MAX_VEHICLES:
+        errors.append(f"fleet must have at most {MAX_VEHICLES} vehicles")
     if not ((pos >= 0.0) & (pos < road.length_m)).all():
         errors.append("fleet pos_m must be in [0, length_m)")
     n_lanes = 2 * road.lanes_per_direction

@@ -7,6 +7,8 @@ from enum import Enum
 
 import numpy as np
 
+from .validation import nonfinite_errors
+
 
 class TrafficMode(str, Enum):
     STANDARD = "standard"
@@ -23,10 +25,10 @@ class TrafficConfig:
     per_packet_jitter: bool = False
 
     def validate(self) -> list[str]:
-        errors = []
-        if self.payload_bytes <= 0:
+        errors = nonfinite_errors(self)
+        if not self.payload_bytes > 0:
             errors.append("payload_bytes must be > 0")
-        if self.base_period_ms <= 0:
+        if not self.base_period_ms > 0:
             errors.append("base_period_ms must be > 0")
         if not 0.0 <= self.itsg5_jitter_ms < self.base_period_ms:
             errors.append("itsg5_jitter_ms must be in [0, base_period_ms)")

@@ -1,5 +1,6 @@
 """Event engine integration: determinism, accounting, sensing, reception."""
 
+import dataclasses
 import gc
 import heapq
 import re
@@ -12,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coexsim import engine as eng
-from coexsim.channel import ShadowingConfig, path_loss_db, rx_power_mw
+from coexsim.channel import LinkBudgetConfig, ShadowingConfig, path_loss_db, rx_power_mw
 from coexsim.engine import Simulation
 from coexsim.mac_itsg5 import CsmaConfig, Phase, airtime_us
 from coexsim.mac_ltev2x import OCCUPIED_US, TTI_US, SpsConfig
-from coexsim.scenario import Fleet, RoadConfig, fleet_errors
+from coexsim.scenario import MAX_VEHICLES, Fleet, RoadConfig, fleet_errors
 from coexsim.traffic import TrafficConfig, TrafficMode
 
 from conftest import small_engine_config
@@ -46,6 +47,63 @@ def test_invalid_config_rejected():
         Simulation(small_engine_config(measure_s=0.0), seed=1)
     with pytest.raises(ValueError, match="itsg5_fraction"):
         Simulation(small_engine_config(itsg5_fraction=1.5), seed=1)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(max_distance_m=np.nan), dict(measure_s=np.nan), dict(warm_up_s=np.inf),
+    dict(road=RoadConfig(length_m=np.inf)), dict(relevance_margin_db=np.nan),
+    dict(relevance_margin_db=-np.inf), dict(road=RoadConfig(length_m=200.0, speed_mps=np.nan)),
+    dict(shadowing=ShadowingConfig(sigma_db=np.nan)),
+], ids=["max_distance_nan", "measure_nan", "warm_up_inf", "length_inf", "margin_nan",
+        "margin_minus_inf", "speed_nan", "sigma_nan"])
+def test_non_finite_values_are_invalid_configuration(overrides):
+    # Without the checks these crash outside the collected errors (NaN and
+    # inf times, lengths and ranges) or score nothing without warning (NaN
+    # margin, speed and shadowing sigma).
+    cfg = eng.EngineConfig(**{"road": RoadConfig(length_m=200.0), **overrides})
+    with pytest.raises(ValueError, match="invalid configuration"):
+        Simulation(cfg, seed=1)
+
+
+def test_every_float_field_must_be_finite():
+    # relevance_margin_db may be +inf; every other float of every section
+    # rejects NaN and both infinities.
+    sections = [eng.EngineConfig(), RoadConfig(), LinkBudgetConfig(), ShadowingConfig(),
+                TrafficConfig(), CsmaConfig(), SpsConfig()]
+    for section in sections:
+        assert section.validate() == []
+        for f in dataclasses.fields(section):
+            if not isinstance(getattr(section, f.name), float):
+                continue
+            for bad in (np.nan, np.inf, -np.inf):
+                if (f.name, bad) == ("relevance_margin_db", np.inf):
+                    continue
+                broken = dataclasses.replace(section, **{f.name: bad})
+                assert broken.validate(), (type(section).__name__, f.name, bad)
+    assert eng.EngineConfig(relevance_margin_db=np.inf).validate() == []
+
+
+@pytest.mark.parametrize("overrides, limit", [
+    (dict(bin_width_m=1e-300), f"at most {eng.MAX_BINS} bins"),
+    (dict(bin_width_m=1e-6), f"at most {eng.MAX_BINS} bins"),
+    (dict(road=RoadConfig(density_veh_per_km=1e9)), f"at most {MAX_VEHICLES} vehicles"),
+])
+def test_histogram_and_fleet_sizes_are_bounded(overrides, limit):
+    # validate() only: building these would allocate gigabytes.
+    assert [e for e in eng.EngineConfig(**overrides).validate() if limit in e]
+
+
+def test_size_bounds_admit_the_default_and_dense_scenarios():
+    road = RoadConfig()
+    at_bound = RoadConfig(density_veh_per_km=MAX_VEHICLES / road.length_m * 1000)
+    over = RoadConfig(density_veh_per_km=(MAX_VEHICLES + 1) / road.length_m * 1000)
+    dense = RoadConfig(density_veh_per_km=2 * road.density_veh_per_km)
+    assert eng.EngineConfig().validate() == []
+    assert eng.EngineConfig(road=dense).validate() == []
+    assert at_bound.validate() == [] and over.validate()
+    assert eng.EngineConfig(max_distance_m=eng.MAX_BINS * 0.5, bin_width_m=0.5).validate() == []
+    assert fleet_errors(lane_zero([0.0] * (MAX_VEHICLES + 1)), road) == [
+        f"fleet must have at most {MAX_VEHICLES} vehicles"]
 
 
 @pytest.mark.parametrize("max_m, width_m, ok", [

@@ -1,6 +1,7 @@
 """Experiment harness: config file parsing, CLI overrides, seeding, CSV runs."""
 
 import io
+import math
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -122,6 +123,14 @@ def test_validation_rejects_out_of_range_values():
     errors = cfg.validate()
     assert any("2.0" in e for e in errors)
     assert any("runs" in e for e in errors)
+
+
+def test_validation_reports_non_finite_experiment_values():
+    # A NaN mix is reported, not rounded into a file name or seed key.
+    errors = ExperimentConfig(mix_fractions=[math.nan, 0.5], runs=math.nan,
+                              jobs=math.inf).validate()
+    assert "mix_fractions entry nan out of [0,1]" in errors
+    assert {"runs must be finite", "jobs must be finite"} <= set(errors)
 
 
 def test_validation_rejects_colliding_mixes():
