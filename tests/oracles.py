@@ -2,6 +2,7 @@
 
 The scalar references restate a rule the simulator applies in vectorized
 form, written the obvious way, so tests can assert that the two agree.
+TxLog replays every scored reception of a run from its own log of frames.
 
 The instruments observe a Simulation from outside: each wraps methods of one
 instance and records what passes through before the run starts, so the
@@ -17,8 +18,8 @@ import math
 import numpy as np
 
 from coexsim.engine import EV_SLOT, Simulation
-from coexsim.mac_itsg5 import cca_busy
-from coexsim.mac_ltev2x import TTI_US
+from coexsim.mac_itsg5 import airtime_us, cca_busy
+from coexsim.mac_ltev2x import OCCUPIED_US, TTI_US
 from coexsim.results import CSV_HEADER
 from coexsim.scenario import RoadConfig
 
@@ -269,3 +270,111 @@ class ContinuousLte(Simulation):
         self.lte_pending[node] = t_us
         super()._on_slot(node, t_us)
         self._push(t_us + TTI_US, EV_SLOT, node)
+
+
+class TxLog:
+    """Replay of every reception a Simulation scores, from an independent log.
+
+    Each frame start is logged with its sender, technology, generation time,
+    end (from the airtime rules) and the sender's rx power and distance rows
+    at that instant, as plain floats. After the run, mismatches() restates in
+    plain Python, for every scored frame, which nodes are its receivers (not
+    the sender, rx power at or above the relevance floor, nearer than
+    max_distance_m), whether each was deaf (it sent a frame overlapping this
+    one, half-open), the distance bin and the interference energy at each:
+    the rx power of every other overlapping frame times the half-open
+    overlap, leaving out ITS-G5 frames at an LTE reception when
+    lte_rx_counts_itsg5_interference is off. These are compared with what
+    the engine scored, batch by batch: the frames each _score call takes and
+    their half-duplex flags and interference, and the distances it records.
+    """
+
+    def __init__(self, sim: Simulation):
+        self.sim = sim
+        self.frames = {}  # (tx, start_us) -> logged frame
+        self.batches = []  # per _score call: [(engine TxRec, halfdup), ...]
+        self.recorded = []  # per record_many call: (batch index, lte, distances, successes)
+        g5_us = airtime_us(sim.cfg.traffic.payload_bytes, sim.cfg.csma)
+        begin_tx, score, record_many = sim._begin_tx, sim._score, sim.hist.record_many
+
+        def begin_spy(node, cam, t_us):
+            lte = bool(sim.is_lte[node])
+            self.frames[(node, t_us)] = dict(
+                tx=node, lte=lte, t_gen_us=cam, start_us=t_us,
+                end_us=t_us + (OCCUPIED_US if lte else g5_us),
+                rx_mw=sim.rx_mw[node].tolist(), dist_m=sim.dist[node].tolist())
+            begin_tx(node, cam, t_us)
+
+        def score_spy():
+            self.batches.append(list(sim._unscored))
+            score()
+
+        def record_spy(tech_index, distances_m, successes):
+            self.recorded.append((len(self.batches) - 1, bool(tech_index),
+                                  distances_m.tolist(), successes.tolist()))
+            record_many(tech_index, distances_m, successes)
+
+        sim._begin_tx, sim._score, sim.hist.record_many = begin_spy, score_spy, record_spy
+
+    def receptions(self, f: dict) -> list[dict]:
+        """The replayed receptions of frame f, in ascending receiver order."""
+        sim, cfg = self.sim, self.sim.cfg
+        relevance_mw = 10.0 ** ((sim.noise_dbm - cfg.relevance_margin_db) / 10.0)
+        overlapping = [(g, min(f["end_us"], g["end_us"]) - max(f["start_us"], g["start_us"]))
+                       for g in self.frames.values() if g is not f]
+        overlapping = [(g, w) for g, w in overlapping if w > 0]
+        out = []
+        for j in range(sim.n):
+            if (j == f["tx"] or f["rx_mw"][j] < relevance_mw
+                    or not f["dist_m"][j] < cfg.max_distance_m):
+                continue
+            energy = sum(g["rx_mw"][j] * w for g, w in overlapping
+                         if not (f["lte"] and not g["lte"]
+                                 and not cfg.lte_rx_counts_itsg5_interference))
+            out.append(dict(rx=j, halfdup=any(g["tx"] == j for g, _ in overlapping),
+                            bin=math.floor(f["dist_m"][j] / cfg.bin_width_m),
+                            energy_mw_us=energy))
+        return out
+
+    def mismatches(self) -> list[str]:
+        """Every disagreement between the replay and the engine; [] when none."""
+        sim, problems = self.sim, []
+        scored = [rec for batch in self.batches for rec, _ in batch]
+        expected = sorted((f["tx"], f["start_us"]) for f in self.frames.values()
+                          if f["t_gen_us"] >= sim.warmup_us and f["end_us"] <= sim.end_us)
+        if sorted((r.tx, r.start_us) for r in scored) != expected:
+            problems.append("the scored frames are not the counted frames that ended")
+        expected_rows = {}  # (batch, lte) -> the replay's (bin, deaf) rows, in record order
+        pairs = halfdup_pairs = 0
+        for b, batch in enumerate(self.batches):
+            for rec, halfdup in batch:
+                f = self.frames[(rec.tx, rec.start_us)]
+                for r in self.receptions(f):
+                    j = r["rx"]
+                    expected_rows.setdefault((b, f["lte"]), []).append((r["bin"], r["halfdup"]))
+                    pairs += 1
+                    halfdup_pairs += r["halfdup"]
+                    if bool(halfdup[j]) != r["halfdup"]:
+                        problems.append(f"frame {rec.tx}@{rec.start_us} us at {j}: half-duplex "
+                                        f"{bool(halfdup[j])}, replay {r['halfdup']}")
+                    got = float(rec.interf_mw_us[j])
+                    if not math.isclose(got, r["energy_mw_us"], rel_tol=1e-12):
+                        problems.append(f"frame {rec.tx}@{rec.start_us} us at {j}: interference "
+                                        f"{got!r} mW*us, replay {r['energy_mw_us']!r}")
+        width = sim.cfg.bin_width_m
+        recorded = {}
+        for b, lte, dists, successes in self.recorded:
+            recorded.setdefault((b, lte), []).extend(zip(dists, successes))
+        for key in sorted(set(expected_rows) | set(recorded)):
+            want = expected_rows.get(key, [])
+            got = recorded.get(key, [])
+            tech = "LTE" if key[1] else "ITS-G5"
+            if [math.floor(d / width) for d, _ in got] != [bin_ for bin_, _ in want]:
+                problems.append(f"batch {key[0]}, {tech}: the recorded bins differ from the replay's")
+            elif any(ok and deaf for (_, ok), (_, deaf) in zip(got, want)):
+                problems.append(f"batch {key[0]}, {tech}: a deaf receiver decoded a frame")
+        if sim.counters["rx_opportunities"] != pairs:
+            problems.append(f"{sim.counters['rx_opportunities']} opportunities, replay {pairs}")
+        if sim.counters["rx_halfduplex"] != halfdup_pairs:
+            problems.append(f"{sim.counters['rx_halfduplex']} half-duplex, replay {halfdup_pairs}")
+        return problems

@@ -648,6 +648,28 @@ def test_selection_sees_every_ended_tti_and_no_open_one():
     assert all(last == now_tti - 1 for now_tti, last in seen)
 
 
+def test_blind_rows_mark_exactly_the_ttis_of_each_nodes_sidelink_frames():
+    # A node is blind in a TTI exactly when it sent an LTE frame in it; an
+    # ITS-G5 frame never blinds its sender. The run outlasts the window, so
+    # every row has been rewritten.
+    sim = Simulation(small_engine_config(itsg5_fraction=0.5, measure_s=1.0), seed=4)
+    sent, begin_tx = set(), sim._begin_tx
+
+    def spy(node, cam, t_us):
+        if sim.is_lte[node]:
+            sent.add((t_us // TTI_US, node))
+        begin_tx(node, cam, t_us)
+
+    sim._begin_tx = spy
+    sim.run()
+    h = sim.history
+    ttis = np.arange(h.last_finalized_tti + 1 - h.window, h.last_finalized_tti + 1)
+    assert ttis[0] > 0
+    expected = np.array([[(tti, j) in sent for j in range(sim.n)] for tti in ttis.tolist()])
+    np.testing.assert_array_equal(h.blind[ttis % h.window], expected)
+    assert expected.any() and sim.counters["tx_itsg5"] > 0
+
+
 def test_noise_only_ttis_sense_the_noise_floor():
     fleet = two_vehicles(100.0, (True, True))
     cfg = small_engine_config(itsg5_fraction=0.0, shadowing=NO_SHADOW,

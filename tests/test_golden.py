@@ -13,7 +13,7 @@ from coexsim.mac_itsg5 import CsmaConfig
 from coexsim.traffic import TrafficMode
 
 from conftest import small_engine_config
-from oracles import ContinuousLte, record_cca, record_selections
+from oracles import ContinuousLte, TxLog, record_cca, record_selections
 
 SEED = 2026
 
@@ -80,3 +80,21 @@ def test_score_batch_size_leaves_the_digest_alone(monkeypatch, mix, batch):
     monkeypatch.setattr(eng, "SCORE_BATCH", batch)
     log = eng.run(small_engine_config(itsg5_fraction=mix), seed=SEED)
     assert log.digest() == GOLDEN[(TrafficMode.STANDARD, mix)]
+
+
+@pytest.mark.parametrize("overrides, digest", [
+    ({}, GOLDEN[(TrafficMode.STANDARD, 0.5)]),
+    (dict(lte_rx_counts_itsg5_interference=False), BRANCHES["lte_ignores_itsg5"]),
+    (dict(max_distance_m=250.0, bin_width_m=25.0), None),
+], ids=["golden", "lte_ignores_itsg5", "short_range"])
+def test_every_scored_reception_matches_an_independent_replay(overrides, digest):
+    # The 50/50 pinned run, its branch with sidelink decoding blind to ITS-G5
+    # energy, and a range shorter than the road, so that the distance cut
+    # drops receivers: every scored pair's receiver set, half-duplex flag,
+    # bin and interference energy agree with TxLog's plain-Python replay.
+    sim = eng.Simulation(small_engine_config(itsg5_fraction=0.5, **overrides), seed=SEED)
+    log = TxLog(sim)
+    run_digest = sim.run().digest()
+    assert digest is None or run_digest == digest
+    assert log.mismatches() == []
+    assert sim.counters["rx_halfduplex"] > 0 and sim.counters["rx_opportunities"] > 0
