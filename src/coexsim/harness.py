@@ -39,8 +39,6 @@ class ExperimentConfig:
     out_dir: Path = Path("results")
     jobs: int = 1
     verbose: bool = False
-    itsg5_per_csv: str | None = None
-    ltev2x_per_csv: str | None = None
 
     def validate(self) -> list[str]:
         errors = self.engine.validate() + nonfinite_errors(self)
@@ -158,8 +156,8 @@ _KEYS = {
     "lte_rx_counts_itsg5_interference": ("engine", "lte_rx_counts_itsg5_interference", _parse_bool),
     "max_distance_m": ("engine", "max_distance_m", _parse_float),
     "bin_width_m": ("engine", "bin_width_m", _parse_float),
-    "itsg5_per_curve_csv": ("experiment", "itsg5_per_csv", str),
-    "ltev2x_per_curve_csv": ("experiment", "ltev2x_per_csv", str),
+    "itsg5_per_curve_csv": ("engine", "itsg5_per_curve", PerCurve.from_csv),
+    "ltev2x_per_curve_csv": ("engine", "ltev2x_per_curve", PerCurve.from_csv),
     "mix_fractions": ("experiment", "mix_fractions", _parse_float_list),
     "modes": ("experiment", "modes", _parse_modes),
     "runs": ("experiment", "runs", int),
@@ -204,7 +202,7 @@ def load_config(path) -> ExperimentConfig:
             continue
         try:
             _apply(cfg, key, value)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             errors.append(f"{path}:{lineno}: bad value for {key}: {exc}")
     if errors:
         raise ConfigError(errors)
@@ -254,27 +252,11 @@ def _execute_run(task):
     return run_simulation(engine_cfg, run_seed(master_seed, mix, mode_index, run_index))
 
 
-def _load_curves(cfg: ExperimentConfig, errors: list[str]) -> list[PerCurve | None]:
-    """The PER curves the config names; each one that fails to load adds an error."""
-    curves = []
-    for path in (cfg.itsg5_per_csv, cfg.ltev2x_per_csv):
-        curve = None
-        if path is not None:
-            try:
-                curve = PerCurve.from_csv(path)
-            except (OSError, ValueError) as exc:
-                errors.append(str(exc))
-        curves.append(curve)
-    return curves
-
-
 def run_experiment(cfg: ExperimentConfig, stdout=None) -> dict:
     """Execute the (mix x mode x runs) grid, emit one CSV per point plus a
     plot script, print a PRR summary; returns {(mode, mix): Aggregate}."""
     stdout = stdout or sys.stdout
-    errors: list[str] = []
-    itsg5_curve, lte_curve = _load_curves(cfg, errors)
-    errors += cfg.validate()
+    errors = cfg.validate()
     if errors:
         raise ConfigError(errors)
 
@@ -287,8 +269,6 @@ def run_experiment(cfg: ExperimentConfig, stdout=None) -> dict:
             cfg.engine,
             itsg5_fraction=mix,
             traffic=replace(cfg.engine.traffic, mode=mode),
-            itsg5_per_curve=itsg5_curve or cfg.engine.itsg5_per_curve,
-            ltev2x_per_curve=lte_curve or cfg.engine.ltev2x_per_curve,
         )
         for r in range(cfg.runs):
             tasks.append((engine_cfg, cfg.master_seed, mix,

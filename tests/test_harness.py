@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from coexsim.channel import PerCurve, default_itsg5_curve, default_ltev2x_curve
 from coexsim.engine import EngineConfig
 from coexsim.harness import (
     _KEYS,
@@ -99,9 +100,8 @@ def test_config_missing_file(tmp_path):
 
 def test_config_keys_reach_every_engine_field():
     # A field no config key sets is a knob only tests can turn. The harness
-    # sets the four exempt fields itself, from `modes`, `mix_fractions` and
-    # the PER-curve paths.
-    exempt = {"traffic.mode", "itsg5_fraction", "itsg5_per_curve", "ltev2x_per_curve"}
+    # sets the two exempt fields itself, from `modes` and `mix_fractions`.
+    exempt = {"traffic.mode", "itsg5_fraction"}
     cfg = EngineConfig()
     leaves = set()
     for f in fields(cfg):
@@ -187,16 +187,56 @@ def test_main_rejects_configs_without_meaningful_results(tmp_path, capsys, lines
     assert not (tmp_path / "out").exists()
 
 
-def test_main_reports_curve_and_validation_errors_together(tmp_path, capsys):
+def test_main_reports_curve_file_errors_with_other_parse_errors(tmp_path, capsys):
+    # A PER curve is read when its key is parsed: a missing or malformed file
+    # is a bad value on its line, reported with the file's other parse errors.
     missing = tmp_path / "no_such_curve.csv"
-    cfg_path = write_config(tmp_path, FAST_CONFIG + f"itsg5_per_curve_csv = {missing}\n")
-    assert main(["--config", str(cfg_path), "--runs", "0",
-                 "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 2
-    assert "no_such_curve.csv" in err[0]
-    assert err[1] == "runs must be >= 1"
+    malformed = tmp_path / "malformed.csv"
+    malformed.write_text("sinr_db,per\n0.0,0.5\nnope,0.1\n")
+    cfg_path = write_config(tmp_path, FAST_CONFIG + f"itsg5_per_curve_csv = {missing}\n"
+                            f"ltev2x_per_curve_csv = {malformed}\nruns = x\n")
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"{cfg_path}:7: bad value for itsg5_per_curve_csv: "
+        f"[Errno 2] No such file or directory: '{missing}'",
+        f"{cfg_path}:8: bad value for ltev2x_per_curve_csv: "
+        f"{malformed}:3: could not convert string to float: 'nope'",
+        f"{cfg_path}:9: bad value for runs: invalid literal for int() with base 10: 'x'"]
     assert not (tmp_path / "out").exists()
+
+
+def write_curve(path: Path, curve: PerCurve) -> Path:
+    rows = zip(curve.sinr_db.tolist(), curve.per.tolist())
+    path.write_text("sinr_db,per\n" + "".join(f"{s!r},{p!r}\n" for s, p in rows))
+    return path
+
+
+def test_curve_keys_load_into_the_engine_config(tmp_path):
+    curve = PerCurve.three_point(5.0)
+    path = write_curve(tmp_path / "g5.csv", curve)
+    cfg = load_config(write_config(tmp_path, f"itsg5_per_curve_csv = {path}\n"))
+    assert np.array_equal(cfg.engine.itsg5_per_curve.sinr_db, curve.sinr_db)
+    assert np.array_equal(cfg.engine.itsg5_per_curve.per, curve.per)
+    assert cfg.engine.ltev2x_per_curve is None
+
+
+def test_curve_given_by_key_reaches_every_run(tmp_path):
+    # The default curves written out give the outputs of a config without
+    # curve keys, byte for byte; a harder ITS-G5 curve changes them.
+    g5 = write_curve(tmp_path / "g5.csv", default_itsg5_curve())
+    lte = write_curve(tmp_path / "lte.csv", default_ltev2x_curve())
+    hard = write_curve(tmp_path / "hard.csv", PerCurve.three_point(9.0))
+    defaults = f"itsg5_per_curve_csv = {g5}\nltev2x_per_curve_csv = {lte}\n"
+    harder = f"itsg5_per_curve_csv = {hard}\n"
+    outputs = {}
+    for name, extra in (("none", ""), ("defaults", defaults), ("harder", harder)):
+        cfg = load_config(write_config(tmp_path, FAST_CONFIG + extra))
+        cfg.mix_fractions, cfg.modes, cfg.runs = [0.5], [TrafficMode.STANDARD], 1
+        cfg.out_dir = tmp_path / name
+        run_experiment(cfg, stdout=io.StringIO())
+        outputs[name] = (cfg.out_dir / "prr_standard_50.csv").read_bytes()
+    assert outputs["defaults"] == outputs["none"]
+    assert outputs["harder"] != outputs["none"]
 
 
 def test_cli_overrides():
