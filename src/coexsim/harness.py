@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -152,7 +153,8 @@ _KEYS = {
     "warm_up_s": ("engine", "warm_up_s", _parse_float),
     "measure_s": ("engine", "measure_s", _parse_float),
     "mobility_update_ms": ("engine", "mobility_update_ms", int),
-    "relevance_margin_db": ("engine", "relevance_margin_db", _parse_float),
+    # May be +inf (every receiver is relevant); validate() rejects NaN and -inf.
+    "relevance_margin_db": ("engine", "relevance_margin_db", float),
     "lte_rx_counts_itsg5_interference": ("engine", "lte_rx_counts_itsg5_interference", _parse_bool),
     "max_distance_m": ("engine", "max_distance_m", _parse_float),
     "bin_width_m": ("engine", "bin_width_m", _parse_float),
@@ -274,8 +276,10 @@ def run_experiment(cfg: ExperimentConfig, stdout=None) -> dict:
             tasks.append((engine_cfg, cfg.master_seed, mix,
                           _MODE_ORDER.index(mode), r))
 
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    # No more workers than runs or usable cores; forking starts them all at once.
+    workers = min(cfg.jobs, len(tasks), len(os.sched_getaffinity(0)))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             logs = list(pool.map(_execute_run, tasks))
     else:
         logs = [_execute_run(t) for t in tasks]

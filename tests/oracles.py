@@ -60,6 +60,19 @@ def read_csv(path) -> list[dict]:
     return rows
 
 
+def check_accounting(sim: Simulation, log) -> None:
+    """Assert a finished run's accounting identities: every CAM is sent,
+    dropped or still pending, and no receiver or bin counts more successes
+    and deaf receptions than opportunities."""
+    c = log.counters
+    pending = sum(m.pending is not None for m in sim.macs if m is not None)
+    pending += len(sim.lte_pending)
+    assert c["cams_generated"] == c["tx_itsg5"] + c["tx_ltev2x"] + c["cams_dropped"] + pending
+    assert c["rx_success"] + c["rx_halfduplex"] <= c["rx_opportunities"]
+    h = log.histogram
+    assert (h.successes <= h.opportunities).all()
+
+
 def air_power(sim: Simulation) -> tuple[np.ndarray, np.ndarray]:
     """(power_mw, preambles) at every node from the frames on air: the total
     received power, summed in start order from zero, and how many ITS-G5
@@ -287,23 +300,36 @@ class TxLog:
     lte_rx_counts_itsg5_interference is off. These are compared with what
     the engine scored, batch by batch: the frames each _score call takes and
     their half-duplex flags and interference, and the distances it records.
+
+    The log of frames and of CAM generations also checks the MAC rules on
+    its own: no node's frames overlap (half-open); each LTE frame starts on a
+    TTI boundary, in the TTI of its node's SPS offset at that instant, one to
+    one period of TTIs after its CAM's TTI; and every generated CAM is sent
+    once, dropped or still pending, as the counters say.
     """
 
     def __init__(self, sim: Simulation):
         self.sim = sim
         self.frames = {}  # (tx, start_us) -> logged frame
+        self.cams = []  # (node, generation time) of every CAM
         self.batches = []  # per _score call: [(engine TxRec, halfdup), ...]
         self.recorded = []  # per record_many call: (batch index, lte, distances, successes)
         g5_us = airtime_us(sim.cfg.traffic.payload_bytes, sim.cfg.csma)
         begin_tx, score, record_many = sim._begin_tx, sim._score, sim.hist.record_many
+        on_cam = sim._on_cam
 
         def begin_spy(node, cam, t_us):
             lte = bool(sim.is_lte[node])
             self.frames[(node, t_us)] = dict(
                 tx=node, lte=lte, t_gen_us=cam, start_us=t_us,
                 end_us=t_us + (OCCUPIED_US if lte else g5_us),
+                offset=int(sim.sps.offset[node]) if lte else None,
                 rx_mw=sim.rx_mw[node].tolist(), dist_m=sim.dist[node].tolist())
             begin_tx(node, cam, t_us)
+
+        def cam_spy(node, t_us):
+            self.cams.append((node, t_us))
+            on_cam(node, t_us)
 
         def score_spy():
             self.batches.append(list(sim._unscored))
@@ -315,6 +341,7 @@ class TxLog:
             record_many(tech_index, distances_m, successes)
 
         sim._begin_tx, sim._score, sim.hist.record_many = begin_spy, score_spy, record_spy
+        sim._on_cam = cam_spy
 
     def receptions(self, f: dict) -> list[dict]:
         """The replayed receptions of frame f, in ascending receiver order."""
@@ -336,9 +363,45 @@ class TxLog:
                             energy_mw_us=energy))
         return out
 
-    def mismatches(self) -> list[str]:
-        """Every disagreement between the replay and the engine; [] when none."""
+    def frame_problems(self) -> list[str]:
+        """Every break of the MAC rules in the logged frames and CAMs; [] when none."""
         sim, problems = self.sim, []
+        latest = {}  # node -> its frame with the latest start so far
+        for f in sorted(self.frames.values(), key=lambda f: f["start_us"]):
+            prev = latest.get(f["tx"])
+            if prev is not None and f["start_us"] < prev["end_us"]:
+                problems.append(f"node {f['tx']}: frame at {f['start_us']} us starts before "
+                                f"its frame at {prev['start_us']} us ends")
+            latest[f["tx"]] = f
+        period = round(sim.cfg.traffic.base_period_ms * 1000) // TTI_US
+        for f in self.frames.values():
+            tti, rest_us = divmod(f["start_us"], TTI_US)
+            if f["lte"] and (rest_us or tti % period != f["offset"]
+                             or not 1 <= tti - f["t_gen_us"] // TTI_US <= period):
+                problems.append(f"LTE frame {f['tx']}@{f['start_us']} us is not on offset "
+                                f"{f['offset']} within one period after its CAM")
+        cams = set(self.cams)
+        sent = [(f["tx"], f["t_gen_us"]) for f in self.frames.values()]
+        unsent = cams - set(sent)
+        pending = {(i, mac.pending) for i, mac in enumerate(sim.macs)
+                   if mac is not None and mac.pending is not None}
+        pending |= set(sim.lte_pending.items())
+        c = sim.counters
+        if len(set(sent)) != len(sent) or not set(sent) <= cams:
+            problems.append("a frame carries a CAM that was never generated or was already sent")
+        if not pending <= unsent:
+            problems.append("a pending CAM was never generated or was already sent")
+        if (c["cams_generated"], c["tx_itsg5"] + c["tx_ltev2x"], c["cams_dropped"]) != (
+                len(cams), len(sent), len(unsent - pending)):
+            problems.append(f"{c['cams_generated']} CAMs generated, {c['tx_itsg5'] + c['tx_ltev2x']} "
+                            f"sent and {c['cams_dropped']} dropped; the log has {len(cams)}, "
+                            f"{len(sent)} and {len(unsent - pending)}")
+        return problems
+
+    def mismatches(self) -> list[str]:
+        """Every disagreement between the replay and the engine, and every
+        frame_problems() entry; [] when none."""
+        sim, problems = self.sim, self.frame_problems()
         scored = [rec for batch in self.batches for rec, _ in batch]
         expected = sorted((f["tx"], f["start_us"]) for f in self.frames.values()
                           if f["t_gen_us"] >= sim.warmup_us and f["end_us"] <= sim.end_us)

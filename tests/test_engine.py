@@ -21,7 +21,14 @@ from coexsim.scenario import MAX_VEHICLES, Fleet, RoadConfig, fleet_errors
 from coexsim.traffic import TrafficConfig, TrafficMode
 
 from conftest import small_engine_config
-from oracles import AllCcaEdges, ContinuousLte, air_power, cca_vector, record_cca
+from oracles import (
+    AllCcaEdges,
+    ContinuousLte,
+    air_power,
+    cca_vector,
+    check_accounting,
+    record_cca,
+)
 
 NO_SHADOW = ShadowingConfig(sigma_db=0.0)
 
@@ -316,15 +323,7 @@ def test_accounting_identities_hold_for_any_valid_config(
         warm_up_s=0.2, measure_s=0.5)
     assert cfg.validate() == []
     sim = Simulation(cfg, seed=seed)
-    log = sim.run()
-    c = log.counters
-    pending = sum(m.pending is not None for m in sim.macs if m is not None)
-    pending += len(sim.lte_pending)
-    assert c["cams_generated"] == (c["tx_itsg5"] + c["tx_ltev2x"]
-                                   + c["cams_dropped"] + pending)
-    assert c["rx_success"] + c["rx_halfduplex"] <= c["rx_opportunities"]
-    h = log.histogram
-    assert (h.successes <= h.opportunities).all()
+    check_accounting(sim, sim.run())
 
 
 def test_mixed_run_populates_reservations():

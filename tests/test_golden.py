@@ -91,7 +91,9 @@ def test_every_scored_reception_matches_an_independent_replay(overrides, digest)
     # The 50/50 pinned run, its branch with sidelink decoding blind to ITS-G5
     # energy, and a range shorter than the road, so that the distance cut
     # drops receivers: every scored pair's receiver set, half-duplex flag,
-    # bin and interference energy agree with TxLog's plain-Python replay.
+    # bin and interference energy agree with TxLog's plain-Python replay, and
+    # its frame log keeps the MAC rules (no self-overlap, LTE frames on their
+    # SPS offset, every CAM sent, dropped or pending).
     sim = eng.Simulation(small_engine_config(itsg5_fraction=0.5, **overrides), seed=SEED)
     log = TxLog(sim)
     run_digest = sim.run().digest()

@@ -4,12 +4,17 @@ import io
 import math
 from dataclasses import fields, is_dataclass
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from coexsim.channel import PerCurve, default_itsg5_curve, default_ltev2x_curve
-from coexsim.engine import EngineConfig
+from coexsim import harness
+from coexsim.engine import MAX_BINS, EngineConfig, Simulation
+from coexsim.results import csv_filename
 from coexsim.harness import (
     _KEYS,
     ConfigError,
@@ -21,9 +26,10 @@ from coexsim.harness import (
     run_experiment,
     run_seed,
 )
+from coexsim.scenario import MAX_VEHICLES, vehicle_count
 from coexsim.traffic import TrafficMode
 
-from oracles import read_csv
+from oracles import check_accounting, read_csv
 
 FAST_CONFIG = """
 # scaled-down scenario for quick end-to-end checks
@@ -175,6 +181,9 @@ def test_main_rejects_inconsistent_configs(tmp_path, capsys):
     ("max_distance_m = inf",
      "{path}:7: bad value for max_distance_m: expected a finite number, got 'inf'"),
     ("master_seed = -1", "master_seed must be >= 0"),
+    # Only +inf is a margin without a relevance floor.
+    ("relevance_margin_db = nan", "relevance_margin_db must be a number or +inf"),
+    ("relevance_margin_db = -inf", "relevance_margin_db must be a number or +inf"),
     # A part-covered last bin would disagree with the scored receptions.
     ("max_distance_m = 505", "max_distance_m must be a whole number of bin_width_m"),
     ("max_distance_m = 500\nbin_width_m = 30",
@@ -237,6 +246,48 @@ def test_curve_given_by_key_reaches_every_run(tmp_path):
         outputs[name] = (cfg.out_dir / "prr_standard_50.csv").read_bytes()
     assert outputs["defaults"] == outputs["none"]
     assert outputs["harder"] != outputs["none"]
+
+
+def test_main_runs_with_an_infinite_relevance_margin(tmp_path):
+    cfg_path = write_config(tmp_path, FAST_CONFIG + "relevance_margin_db = inf\n")
+    assert load_config(cfg_path).engine.relevance_margin_db == math.inf
+    assert main(["--config", str(cfg_path), "--mix", "0.5", "--mode", "standard",
+                 "--runs", "1", "--out", str(tmp_path / "out")]) == 0
+    assert read_csv(tmp_path / "out" / "prr_standard_50.csv")
+
+
+@pytest.mark.parametrize("jobs, runs, cores, workers", [
+    (4, 1, 8, None),  # one run: no pool at all
+    (4, 2, 8, 2),
+    (2, 5, 8, 2),
+    (10**6, 5, 3, 3),
+    (4, 5, 1, None),  # one usable core
+])
+def test_pool_is_no_larger_than_the_runs_or_the_cores(tmp_path, monkeypatch,
+                                                      jobs, runs, cores, workers):
+    # A stand-in executor records its size and maps in this process, so the
+    # test starts no process whatever jobs asks for.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cores)))
+    results = run_experiment(fast_experiment(tmp_path, jobs=jobs, runs=runs),
+                             stdout=io.StringIO())
+    assert sizes == ([] if workers is None else [workers])
+    assert results[("standard", 0.5)].n_runs == runs
 
 
 def test_cli_overrides():
@@ -363,3 +414,124 @@ def test_main_rejects_bad_cli_values(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "--mix: expected a finite number, got 'nan'"]
     assert not out.exists()
+
+
+def _value(*choices) -> st.SearchStrategy[str]:
+    """A key's value text, drawn from strategies and from listed values."""
+    return st.one_of(*(c if isinstance(c, st.SearchStrategy) else st.just(c)
+                       for c in choices)).map(str)
+
+
+def _floats(lo: float, hi: float) -> st.SearchStrategy[float]:
+    return st.floats(lo, hi, allow_nan=False)
+
+
+# Values for every flat-file key, in and out of range, bounded so that an
+# accepted config runs in well under a second: at most 40 vehicles and 0.8 s
+# of simulated time. The sizes near scenario.MAX_VEHICLES and engine.MAX_BINS
+# are only validated. out_dir is not drawn: each example writes to its own
+# directory. Curve values name a file in the test's curve directory.
+KEY_VALUES = {
+    "road_length_m": _value(_floats(-50, 500), 0, "nan", 30_000, 40_000),
+    "lanes_per_direction": _value(st.integers(-1, 4), "1.5"),
+    "lane_width_m": _value(_floats(-1, 6)),
+    "density_veh_per_km": _value(_floats(-5, 80), 0, "inf", 1e5),
+    "speed_mps": _value(_floats(-1, 60)),
+    "tx_power_dbm": _value(_floats(-10, 30)),
+    "tx_gain_db": _value(_floats(-3, 6)),
+    "rx_gain_db": _value(_floats(-3, 6)),
+    "noise_figure_db": _value(_floats(0, 12), "nan"),
+    "bandwidth_hz": _value(_floats(1e6, 2e7), 0, -1),
+    "carrier_ghz": _value(_floats(1, 6), 0),
+    "shadowing_sigma_db": _value(_floats(-1, 8)),
+    "shadowing_decorr_m": _value(_floats(1, 50), 0),
+    "payload_bytes": _value(st.integers(-10, 1000), "abc"),
+    "base_period_ms": _value(20, 50, 100, 100.5, 300, 0, -10),
+    "itsg5_jitter_ms": _value(_floats(-1, 10), 200),
+    "per_packet_jitter": _value("true", "false", "maybe"),
+    "aifs_us": _value(st.integers(-1, 200)),
+    "slot_us": _value(st.integers(0, 20)),
+    "cw_max_slots": _value(st.integers(-1, 63)),
+    "cca_threshold_dbm": _value(_floats(-100, -50)),
+    "preamble_threshold_dbm": _value(_floats(-110, -60), "none"),
+    "mcs_data_rate_bps": _value(_floats(1e4, 3e7)),
+    "keep_probability": _value(_floats(-0.1, 1.1)),
+    "reselection_counter_min": _value(st.integers(0, 20)),
+    "reselection_counter_max": _value(st.integers(0, 20)),
+    "sensing_window_ttis": _value(st.integers(0, 2000), 100, 1000),
+    "best_fraction": _value(_floats(-0.1, 1.1)),
+    "decode_threshold_dbm": _value(_floats(-130, -80)),
+    "reservation_expiry_ttis": _value(st.integers(-1, 2000)),
+    "warm_up_s": _value(_floats(-0.1, 0.3)),
+    "measure_s": _value(_floats(-0.1, 0.5), 0),
+    "mobility_update_ms": _value(st.integers(-1, 200)),
+    "relevance_margin_db": _value(_floats(-10, 30), "inf", "-inf", "nan"),
+    "lte_rx_counts_itsg5_interference": _value("true", "false"),
+    "max_distance_m": _value(250, 300, 500, 505, 0, -1, "nan"),
+    "bin_width_m": _value(5, 10, 25, 30, 0.005, 0.004, 1e-300, 0),
+    "itsg5_per_curve_csv": _value("valid.csv", "missing.csv", "malformed.csv"),
+    "ltev2x_per_curve_csv": _value("valid.csv", "missing.csv", "malformed.csv"),
+    "mix_fractions": st.lists(_floats(-0.5, 1.5), min_size=1, max_size=3).map(
+        lambda xs: "[" + ", ".join(map(str, xs)) + "]"),
+    "modes": _value("standard", "constrained", "standard, constrained", "turbo"),
+    "runs": _value(1, 0, -1, "x"),
+    "master_seed": _value(st.integers(-2, 2**40)),
+    "jobs": _value(1, 0, "1.5"),
+}
+
+
+@pytest.fixture(scope="module")
+def curve_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("curves")
+    write_curve(path / "valid.csv", PerCurve.three_point(2.0))
+    (path / "malformed.csv").write_text("sinr_db,per\n0.0,0.5\nnope,0.1\n")
+    return path
+
+
+def test_key_values_cover_every_key():
+    assert set(KEY_VALUES) == set(_KEYS) - {"out_dir"}
+
+
+@settings(max_examples=200)
+@given(drawn=st.sets(st.sampled_from(sorted(KEY_VALUES)), max_size=6).flatmap(
+    lambda keys: st.fixed_dictionaries({k: KEY_VALUES[k] for k in keys})))
+def test_any_config_file_is_rejected_or_runs_with_its_identities(
+        tmp_path_factory, curve_dir, drawn):
+    work = tmp_path_factory.mktemp("drawn")
+    lines = [FAST_CONFIG, "runs = 1", "mix_fractions = 0.5", "modes = standard",
+             f"out_dir = {work / 'out'}"]
+    for key, value in drawn.items():
+        lines.append(f"{key} = {curve_dir / value if key.endswith('_csv') else value}")
+    try:
+        cfg = load_config(write_config(work, "\n".join(lines) + "\n"))
+    except ConfigError:
+        event("parse error")
+        return
+    if cfg.validate():
+        event("rejected by validate()")
+        with pytest.raises(ConfigError):
+            run_experiment(cfg, stdout=io.StringIO())
+        assert not (work / "out").exists()
+        return
+    road, engine = cfg.engine.road, cfg.engine
+    assert vehicle_count(road) <= MAX_VEHICLES
+    assert engine.max_distance_m / engine.bin_width_m <= MAX_BINS * (1 + 1e-12)
+    if vehicle_count(road) > 40 or engine.max_distance_m / engine.bin_width_m > 1000:
+        event("validated only")
+        return  # a size near the limits: validated, not run
+    event("ran")
+
+    def checked_run(engine_cfg, seed):
+        sim = Simulation(engine_cfg, seed)
+        log = sim.run()
+        check_accounting(sim, log)
+        runs.append(log)
+        return log
+
+    runs = []
+    with mock.patch.object(harness, "run_simulation", checked_run):
+        results = run_experiment(cfg, stdout=io.StringIO())
+    assert len(runs) == len(results) == len(cfg.mix_fractions) * len(cfg.modes)
+    for (mode, mix), log in zip(results, runs):
+        rows = read_csv(work / "out" / csv_filename(mode, mix))
+        assert sum(r["opportunities"] for r in rows) == log.counters["rx_opportunities"]
