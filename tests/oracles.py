@@ -62,8 +62,9 @@ def read_csv(path) -> list[dict]:
 
 def check_accounting(sim: Simulation, log) -> None:
     """Assert a finished run's accounting identities: every CAM is sent,
-    dropped or still pending, and no receiver or bin counts more successes
-    and deaf receptions than opportunities."""
+    dropped or still pending; successes and deaf receptions together never
+    outnumber the opportunities; and no bin has more successes than
+    opportunities."""
     c = log.counters
     pending = sum(m.pending is not None for m in sim.macs if m is not None)
     pending += len(sim.lte_pending)
@@ -386,16 +387,15 @@ class TxLog:
         pending = {(i, mac.pending) for i, mac in enumerate(sim.macs)
                    if mac is not None and mac.pending is not None}
         pending |= set(sim.lte_pending.items())
-        c = sim.counters
         if len(set(sent)) != len(sent) or not set(sent) <= cams:
             problems.append("a frame carries a CAM that was never generated or was already sent")
         if not pending <= unsent:
             problems.append("a pending CAM was never generated or was already sent")
-        if (c["cams_generated"], c["tx_itsg5"] + c["tx_ltev2x"], c["cams_dropped"]) != (
-                len(cams), len(sent), len(unsent - pending)):
-            problems.append(f"{c['cams_generated']} CAMs generated, {c['tx_itsg5'] + c['tx_ltev2x']} "
-                            f"sent and {c['cams_dropped']} dropped; the log has {len(cams)}, "
-                            f"{len(sent)} and {len(unsent - pending)}")
+        c = sim.counters
+        counted = (c["cams_generated"], c["tx_itsg5"] + c["tx_ltev2x"], c["cams_dropped"])
+        logged = (len(cams), len(sent), len(unsent - pending))
+        if counted != logged:
+            problems.append(f"CAMs (generated, sent, dropped): counters {counted}, log {logged}")
         return problems
 
     def mismatches(self) -> list[str]:

@@ -11,10 +11,9 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from coexsim.channel import PerCurve, default_itsg5_curve, default_ltev2x_curve
 from coexsim import harness
+from coexsim.channel import PerCurve, default_itsg5_curve, default_ltev2x_curve
 from coexsim.engine import MAX_BINS, EngineConfig, Simulation
-from coexsim.results import csv_filename
 from coexsim.harness import (
     _KEYS,
     ConfigError,
@@ -26,6 +25,7 @@ from coexsim.harness import (
     run_experiment,
     run_seed,
 )
+from coexsim.results import csv_filename
 from coexsim.scenario import MAX_VEHICLES, vehicle_count
 from coexsim.traffic import TrafficMode
 
@@ -218,15 +218,6 @@ def write_curve(path: Path, curve: PerCurve) -> Path:
     rows = zip(curve.sinr_db.tolist(), curve.per.tolist())
     path.write_text("sinr_db,per\n" + "".join(f"{s!r},{p!r}\n" for s, p in rows))
     return path
-
-
-def test_curve_keys_load_into_the_engine_config(tmp_path):
-    curve = PerCurve.three_point(5.0)
-    path = write_curve(tmp_path / "g5.csv", curve)
-    cfg = load_config(write_config(tmp_path, f"itsg5_per_curve_csv = {path}\n"))
-    assert np.array_equal(cfg.engine.itsg5_per_curve.sinr_db, curve.sinr_db)
-    assert np.array_equal(cfg.engine.itsg5_per_curve.per, curve.per)
-    assert cfg.engine.ltev2x_per_curve is None
 
 
 def test_curve_given_by_key_reaches_every_run(tmp_path):
