@@ -9,8 +9,9 @@ so neither the working tree nor the repository's worktree list is touched.
 Each pair runs `python3 perfbench/run.py --workload W` once in each
 checkout, at perfbench's own run length, parent first in even pairs and
 change first in odd ones, so slow and fast spells of the host fall on both
-sides. The record keeps every run's final JSON line and summarises
-`tx_per_s` and `peak_rss_mb` per workload: median, inclusive quartiles, the
+sides. The record keeps every run's final JSON line and summarises every
+end-to-end metric the benchmark judges (`tx_per_s`, `run_s`, `sweep_s`,
+`setup_s` and `peak_rss_mb`) per workload: median, inclusive quartiles, the
 pairs the change won and the per-pair change/parent ratios. Its `command`
 names both revisions as commits, so it reruns the same comparison whatever
 HEAD is by then.
@@ -35,7 +36,8 @@ import numpy
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_PAIRS = ("lte_only=10", "g5_only=5", "mixed_dense=5", "sweep=5")
 # metric -> (higher is better, decimals kept in the summary)
-SPREADS = {"tx_per_s": (True, 1), "peak_rss_mb": (False, 3)}
+SPREADS = {"tx_per_s": (True, 1), "run_s": (False, 4), "sweep_s": (False, 4),
+           "setup_s": (False, 4), "peak_rss_mb": (False, 3)}
 
 
 def git(*args: str) -> str:

@@ -44,16 +44,25 @@ def path_loss_db(d_m, cfg: LinkBudgetConfig) -> np.ndarray:
     Below the breakpoint: 22.7 log10(d) + 41.0 + 20 log10(f/5).
     Above: 40 log10(d) + 9.45 - 2 * 17.3 log10(h') + 2.7 log10(f/5).
     Distances are clamped to 3 m to avoid the near-field singularity.
+    The result is built in place on one fresh copy of d_m.
     """
-    d = np.maximum(np.asarray(d_m, dtype=float), MIN_PATHLOSS_DISTANCE_M)
     f = cfg.carrier_ghz
     h = EFFECTIVE_ANTENNA_HEIGHT_M
-    d_bp = breakpoint_distance_m(f)
-    log_d = np.log10(d)
     log_f5 = np.log10(f / 5.0)
-    near = 22.7 * log_d + 41.0 + 20.0 * log_f5
-    far = 40.0 * log_d + 9.45 - 17.3 * np.log10(h) - 17.3 * np.log10(h) + 2.7 * log_f5
-    return np.where(d <= d_bp, near, far)
+    pl = np.array(d_m, dtype=float)
+    np.maximum(pl, MIN_PATHLOSS_DISTANCE_M, out=pl)
+    near = pl <= breakpoint_distance_m(f)
+    np.log10(pl, out=pl)
+    log_d_near = pl[near]
+    # Term by term in the formula's order, so each element rounds as the
+    # plain expression would.
+    pl *= 40.0
+    pl += 9.45
+    pl -= 17.3 * np.log10(h)
+    pl -= 17.3 * np.log10(h)
+    pl += 2.7 * log_f5
+    pl[near] = 22.7 * log_d_near + 41.0 + 20.0 * log_f5
+    return pl
 
 
 def noise_floor_dbm(cfg: LinkBudgetConfig) -> float:
@@ -64,10 +73,12 @@ def ar1_shadowing_step(s_db, moved_m, sigma_db: float, decorr_m: float, noise):
     """One correlated-shadowing update: s' = rho*s + sqrt(1-rho^2)*n.
 
     rho = exp(-moved_m / decorr_m); noise must be drawn from Normal(0, sigma_db^2).
-    Works elementwise on arrays.
+    Works elementwise on arrays; an array noise is overwritten with the result.
     """
     rho = np.exp(-np.asarray(moved_m, dtype=float) / decorr_m)
-    return rho * s_db + np.sqrt(1.0 - rho * rho) * noise
+    noise *= np.sqrt(1.0 - rho * rho)
+    noise += rho * s_db
+    return noise
 
 
 class ShadowingField:
@@ -87,22 +98,26 @@ class ShadowingField:
         self.values_db = self._symmetric_normal(rng)
 
     def _symmetric_normal(self, rng: np.random.Generator) -> np.ndarray:
-        draw = rng.normal(0.0, self.sigma_db, size=(self.n, self.n))
-        upper = np.triu(draw, 1)
-        return upper + upper.T
+        upper = np.triu(rng.normal(0.0, self.sigma_db, size=(self.n, self.n)), 1)
+        upper += upper.T
+        return upper
 
     def step(self, moved_m, rng: np.random.Generator) -> None:
         """Advance all pairs by a displacement (scalar or per-pair matrix)."""
-        noise = self._symmetric_normal(rng)
         self.values_db = ar1_shadowing_step(self.values_db, moved_m, self.sigma_db,
-                                            self.decorr_m, noise)
+                                            self.decorr_m, self._symmetric_normal(rng))
 
 
 def rx_power_mw(pl_db, shadow_db, cfg: LinkBudgetConfig):
     """Received power in mW: EIRP plus receive gain, minus path loss and
-    shadowing (all in dB; scalar or array)."""
-    rx_dbm = cfg.tx_power_dbm + cfg.tx_gain_db + cfg.rx_gain_db - pl_db - shadow_db
-    return 10.0 ** (rx_dbm / 10.0)
+    shadowing (all in dB; scalar or array). An array pl_db is overwritten
+    with the result, so pass a fresh one, as path_loss_db returns."""
+    rx = np.asarray(pl_db, dtype=float)
+    np.subtract(cfg.tx_power_dbm + cfg.tx_gain_db + cfg.rx_gain_db, rx, out=rx)
+    rx -= shadow_db
+    rx /= 10.0
+    np.power(10.0, rx, out=rx)
+    return rx if rx.ndim else rx[()]  # a scalar for scalar input
 
 
 def sinr_db(rx_mw, interf_mw_us, dur_us, noise_mw):
@@ -133,6 +148,9 @@ class PerCurve:
             raise ValueError("PER curve must contain at least one point")
         if self.sinr_db.size != self.per.size:
             raise ValueError("PER curve sinr_db and per lengths differ")
+        # NaN fails no comparison below, and an infinite point flattens the lookup.
+        if not (np.isfinite(self.sinr_db).all() and np.isfinite(self.per).all()):
+            raise ValueError("PER curve sinr_db and per values must be finite")
         if np.any(np.diff(self.sinr_db) <= 0):
             raise ValueError("PER curve sinr_db values must be strictly increasing")
         if np.any(np.diff(self.per) > 0):

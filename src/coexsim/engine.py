@@ -156,16 +156,20 @@ class RunLog:
 class TxRec:
     """One on-air transmission with its receive-side snapshots.
 
-    rx power and distance rows are frozen at transmission start; interference
-    is accumulated per receiver in mW*us as overlapping transmissions end.
+    rx power and distance rows are frozen at transmission start, rx power
+    also at the LTE stations alone (rx_lte_mw, in LTE column order);
+    interference is accumulated per receiver in mW*us as overlapping
+    transmissions end. lte_col is the sender's LTE column, -1 for ITS-G5.
     """
 
     tx: int
     lte: bool
+    lte_col: int
     t_gen_us: int
     start_us: int
     end_us: int
     rx_mw: np.ndarray
+    rx_lte_mw: np.ndarray
     dist_m: np.ndarray
     interf_mw_us: np.ndarray
 
@@ -189,7 +193,14 @@ class Simulation:
         self.dirsign = np.where(self.lane < config.road.lanes_per_direction, 1, -1)
         self.is_lte = np.asarray(fleet.is_lte, dtype=bool)
         self.n = n = self.pos.size
+        # The SPS state has one column per LTE station, in node order;
+        # lte_col maps a node to its column (-1 for ITS-G5).
         self.lte_ids = np.nonzero(self.is_lte)[0]
+        m = self.lte_ids.size
+        self.lte_col = np.full(n, -1)
+        self.lte_col[self.lte_ids] = np.arange(m)
+        # A slice when every node is LTE, so the LTE columns are views.
+        self._lte_cols = slice(None) if m == n else self.lte_ids
 
         self.noise_dbm = noise_floor_dbm(config.link)
         self.noise_mw = 10.0 ** (self.noise_dbm / 10.0)
@@ -220,10 +231,10 @@ class Simulation:
         ]
         self.history: SensingHistory | None = None
         self.sps: SpsScheduler | None = None
-        if self.lte_ids.size:
-            self.history = SensingHistory(n, self.noise_mw, config.sps.sensing_window_ttis)
+        if m:
+            self.history = SensingHistory(m, self.noise_mw, config.sps.sensing_window_ttis)
             period_ttis = round(config.traffic.base_period_ms * 1000) // TTI_US
-            self.sps = SpsScheduler(n, period_ttis, config.sps, self.history, self.rng["sps"])
+            self.sps = SpsScheduler(m, period_ttis, config.sps, self.history, self.rng["sps"])
         self.sources = CamSource(self.is_lte, config.traffic, self.rng["traffic"])
 
         # node -> generation time of its CAM awaiting its sidelink slot
@@ -272,13 +283,15 @@ class Simulation:
 
     def _rebuild_geometry(self) -> None:
         cfg = self.cfg
-        self.dist = distance_matrix(self.pos, self.lane, cfg.road.lane_width_m)
-        pl = path_loss_db(self.dist, cfg.link)
-        rx_mw = rx_power_mw(pl, self.shadow.values_db, cfg.link)
+        # Frames on air keep their rows; the rest of the last epoch goes first.
+        self.dist = self.rx_mw = self.rx_lte = None
+        dist = distance_matrix(self.pos, self.lane, cfg.road.lane_width_m)
+        rx_mw = rx_power_mw(path_loss_db(dist, cfg.link), self.shadow.values_db, cfg.link)
         # A node is never its own receiver.
         np.fill_diagonal(rx_mw, 0.0)
-        np.fill_diagonal(self.dist, np.inf)
-        self.rx_mw = rx_mw
+        np.fill_diagonal(dist, np.inf)
+        self.dist, self.rx_mw = dist, rx_mw
+        self.rx_lte = rx_mw[:, self._lte_cols]
 
     def _dispatch_cca(self, before, t_us: int) -> None:
         """Send each listening node's CCA edge since `before`, its (node, busy)
@@ -297,8 +310,8 @@ class Simulation:
             raise RuntimeError(f"node {node} is already transmitting")
         lte = bool(self.is_lte[node])
         dur = OCCUPIED_US if lte else self.g5_airtime_us
-        rec = TxRec(node, lte, cam, t_us, t_us + dur,
-                    self.rx_mw[node], self.dist[node], np.zeros(self.n))
+        rec = TxRec(node, lte, self.lte_col.item(node), cam, t_us, t_us + dur,
+                    self.rx_mw[node], self.rx_lte[node], self.dist[node], np.zeros(self.n))
         if self.history is not None:
             self.history.advance(t_us, self.active.values())
         before = [(i, self.is_busy(i)) for i in sorted(self.listening)] if self.listening else ()
@@ -333,9 +346,9 @@ class Simulation:
         halfdup = self.tx_end_us > rec.start_us
         if rec.lte:
             offset = (rec.start_us // TTI_US) % self.sps.period
-            cand = self.lte_ids[(rec.rx_mw[self.lte_ids] >= self.decode_mw)
-                                & ~halfdup[self.lte_ids]]
-            self.sps.note_decode(rec.tx, cand, offset, t_us // TTI_US)
+            decoders = ((rec.rx_lte_mw >= self.decode_mw)
+                        & ~halfdup[self._lte_cols]).nonzero()[0]
+            self.sps.note_decode(rec.lte_col, decoders, offset, t_us // TTI_US)
 
         if rec.t_gen_us < self.warmup_us:
             return
@@ -391,7 +404,7 @@ class Simulation:
         self.history.advance(t_us - t_us % TTI_US, self.active.values())
         # The slot lies within one period, at or before the node's next CAM
         # (EV_SLOT sorts first), so a node holds at most one pending CAM.
-        tx_tti = self.sps.on_generation(node, t_us // TTI_US)
+        tx_tti = self.sps.on_generation(self.lte_col.item(node), t_us // TTI_US)
         self.lte_pending[node] = t_us
         self._push(tx_tti * TTI_US, EV_SLOT, node)
 

@@ -40,23 +40,25 @@ class SpsConfig:
 
 
 class SensingHistory:
-    """Per-node average RSSI (mW) per TTI over the trailing sensing window.
+    """Average RSSI (mW) per TTI over the trailing sensing window, one column
+    per LTE station (only they sense).
 
     Rows are a ring buffer keyed by tti % window. Unwritten or not yet
     finalized TTIs read back as the noise floor and non-blind, which doubles
-    as the cold-start prior. Blind rows mark TTIs the node spent transmitting.
-    The open TTI fills in from the frames on air as time advances: their
-    power is integrated over the occupied symbols, and LTE senders set blind_now.
+    as the cold-start prior. Blind rows mark TTIs the station spent
+    transmitting. The open TTI fills in from the frames on air as time
+    advances: their power at the stations (rx_lte_mw) is integrated over the
+    occupied symbols, and LTE senders set blind_now at their lte_col.
     """
 
-    def __init__(self, n_nodes: int, noise_mw: float, window_ttis: int):
+    def __init__(self, n_stations: int, noise_mw: float, window_ttis: int):
         self.window = window_ttis
         self.noise_mw = noise_mw
-        self.rssi_mw = np.full((window_ttis, n_nodes), noise_mw)
-        self.blind = np.zeros((window_ttis, n_nodes), dtype=bool)
+        self.rssi_mw = np.full((window_ttis, n_stations), noise_mw)
+        self.blind = np.zeros((window_ttis, n_stations), dtype=bool)
         self.last_finalized_tti = -1
-        self.blind_now = np.zeros(n_nodes, dtype=bool)
-        self._acc_mw_us = np.zeros(n_nodes)
+        self.blind_now = np.zeros(n_stations, dtype=bool)
+        self._acc_mw_us = np.zeros(n_stations)
         self._t_us = 0
 
     def advance(self, t_us: int, frames) -> None:
@@ -67,9 +69,9 @@ class SensingHistory:
             return
         power_mw = 0.0  # a float while nothing is on air
         for rec in frames:
-            power_mw = power_mw + rec.rx_mw
+            power_mw = power_mw + rec.rx_lte_mw
             if rec.lte:
-                self.blind_now[rec.tx] = True
+                self.blind_now[rec.lte_col] = True
         while True:
             tti = self.last_finalized_tti + 1
             start = tti * TTI_US
@@ -90,59 +92,61 @@ class SensingHistory:
         self.blind[row] = blind
         self.last_finalized_tti = tti
 
-    def lag_views(self, candidates: np.ndarray, node: int,
+    def lag_views(self, candidates: np.ndarray, station: int,
                   n_lags: int, lag_step: int) -> tuple[np.ndarray, np.ndarray]:
         """RSSI values and blind flags at candidate - k*lag_step for k=1..n_lags."""
         lags = lag_step * np.arange(1, n_lags + 1)
         ttis = candidates[:, None] - lags[None, :]
         valid = (ttis >= 0) & (ttis <= self.last_finalized_tti)
         rows = ttis % self.window
-        vals = np.where(valid, self.rssi_mw[rows, node], self.noise_mw)
-        blind = np.where(valid, self.blind[rows, node], False)
+        vals = np.where(valid, self.rssi_mw[rows, station], self.noise_mw)
+        blind = np.where(valid, self.blind[rows, station], False)
         return vals, blind
 
 
 class SpsScheduler:
-    """Semi-persistent scheduling state of every LTE node in a run.
+    """Semi-persistent scheduling state of every LTE station in a run.
 
-    A resource is one whole TTI; a node's selected offset repeats every
-    period, one beacon period of TTIs. Its reselection counter decrements at
-    each CAM generation; on expiry the offset is kept with the keep
-    probability, otherwise reselected from the sensed best candidates.
+    Stations are numbered 0..m-1, the columns of the sensing history; the
+    engine maps its node ids to them. A resource is one whole TTI; a
+    station's selected offset repeats every period, one beacon period of
+    TTIs. Its reselection counter decrements at each CAM generation; on
+    expiry the offset is kept with the keep probability, otherwise
+    reselected from the sensed best candidates.
 
-    Per node: the offset (-1 before the first selection) and the counter.
+    Per station: the offset (-1 before the first selection) and the counter.
     Decoded reservations share one table indexed [receiver, transmitter]: the
     announced offset (-1 for none) and the TTI it was last decoded.
     """
 
-    def __init__(self, n_nodes: int, period_ttis: int, cfg: SpsConfig,
+    def __init__(self, n_stations: int, period_ttis: int, cfg: SpsConfig,
                  history: SensingHistory, rng: np.random.Generator):
         self.period = period_ttis
         self.cfg = cfg
         self.history = history
         self.rng = rng
-        self.offset = np.full(n_nodes, -1)
-        self.counter = np.zeros(n_nodes, dtype=int)
-        self.resv_offset = np.full((n_nodes, n_nodes), -1)
-        self.resv_seen = np.zeros((n_nodes, n_nodes), dtype=int)
+        self.offset = np.full(n_stations, -1)
+        self.counter = np.zeros(n_stations, dtype=int)
+        self.resv_offset = np.full((n_stations, n_stations), -1)
+        self.resv_seen = np.zeros((n_stations, n_stations), dtype=int)
 
     def _draw_counter(self) -> int:
         return int(self.rng.integers(self.cfg.counter_min, self.cfg.counter_max + 1))
 
-    def _next_occurrence(self, node: int, now_tti: int) -> int:
-        """Smallest TTI strictly after now matching the node's offset."""
-        return now_tti + 1 + (int(self.offset[node]) - now_tti - 1) % self.period
+    def _next_occurrence(self, station: int, now_tti: int) -> int:
+        """Smallest TTI strictly after now matching the station's offset."""
+        return now_tti + 1 + (int(self.offset[station]) - now_tti - 1) % self.period
 
-    def reserved_offset_mask(self, node: int, now_tti: int) -> np.ndarray:
-        """Offsets announced by the reservations this node decoded that are
+    def reserved_offset_mask(self, station: int, now_tti: int) -> np.ndarray:
+        """Offsets announced by the reservations this station decoded that are
         still live at now_tti."""
-        offsets = self.resv_offset[node]
-        age = now_tti - self.resv_seen[node]
+        offsets = self.resv_offset[station]
+        age = now_tti - self.resv_seen[station]
         mask = np.zeros(self.period, dtype=bool)
         mask[offsets[(offsets >= 0) & (age <= self.cfg.reservation_expiry_ttis)]] = True
         return mask
 
-    def select_resource(self, node: int, now_tti: int) -> int:
+    def select_resource(self, station: int, now_tti: int) -> int:
         """Pick a TTI among the least-utilized fifth of the next period.
 
         Candidates with any blind lag or a live decoded reservation are
@@ -155,13 +159,13 @@ class SpsScheduler:
         period = self.period
         candidates = np.arange(now_tti + 1, now_tti + 1 + period)
         vals, blind = self.history.lag_views(
-            candidates, node, cfg.sensing_window_ttis // period, period)
+            candidates, station, cfg.sensing_window_ttis // period, period)
         any_blind = blind.any(axis=1)
         fully_blind = blind.all(axis=1)
         n_heard = np.maximum((~blind).sum(axis=1), 1)
         scores = np.where(blind, 0.0, vals).sum(axis=1) / n_heard
 
-        reserved = self.reserved_offset_mask(node, now_tti)[candidates % period]
+        reserved = self.reserved_offset_mask(station, now_tti)[candidates % period]
         keep = ~any_blind & ~reserved
         if not keep.any():
             keep = ~fully_blind
@@ -174,27 +178,27 @@ class SpsScheduler:
         order = np.argsort(pool_scores[perm], kind="stable")
         best_n = min(max(1, round(cfg.best_fraction * period)), pool.size)
         chosen = int(pool[perm[order[self.rng.integers(best_n)]]])
-        self.offset[node] = chosen % period
+        self.offset[station] = chosen % period
         return chosen
 
-    def on_generation(self, node: int, now_tti: int) -> int:
-        """Advance the node's SPS counter at a CAM generation; returns the
+    def on_generation(self, station: int, now_tti: int) -> int:
+        """Advance the station's SPS counter at a CAM generation; returns the
         TTI that will carry this packet."""
-        if self.offset[node] < 0:
-            tx_tti = self.select_resource(node, now_tti)
+        if self.offset[station] < 0:
+            tx_tti = self.select_resource(station, now_tti)
         else:
-            self.counter[node] -= 1
-            if self.counter[node] > 0:
-                return self._next_occurrence(node, now_tti)
+            self.counter[station] -= 1
+            if self.counter[station] > 0:
+                return self._next_occurrence(station, now_tti)
             if self.rng.random() < self.cfg.keep_probability:
-                tx_tti = self._next_occurrence(node, now_tti)
+                tx_tti = self._next_occurrence(station, now_tti)
             else:
-                tx_tti = self.select_resource(node, now_tti)
-        self.counter[node] = self._draw_counter()
+                tx_tti = self.select_resource(station, now_tti)
+        self.counter[station] = self._draw_counter()
         return tx_tti
 
     def note_decode(self, tx: int, receivers: np.ndarray, offset: int, now_tti: int) -> None:
-        """Record node tx's reservation at every receiver that decoded its
+        """Record station tx's reservation at every receiver that decoded its
         control message."""
         self.resv_offset[receivers, tx] = offset
         self.resv_seen[receivers, tx] = now_tti

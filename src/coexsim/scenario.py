@@ -112,6 +112,10 @@ def advance_positions(
 def distance_matrix(pos_m: np.ndarray, lane_index: np.ndarray, lane_width_m: float) -> np.ndarray:
     """Pairwise Euclidean distances on the unwrapped line (mobility wraps,
     geometry does not); lanes are lane_width_m apart."""
-    dx = pos_m[:, None] - pos_m[None, :]
-    dy = (lane_index[:, None] - lane_index[None, :]) * lane_width_m
-    return np.hypot(dx, dy)
+    pos = np.asarray(pos_m, dtype=float)
+    dx = pos[:, None] - pos[None, :]
+    # Lane indices are small integers, so their float differences are exact.
+    lane = np.asarray(lane_index, dtype=float)
+    dy = lane[:, None] - lane[None, :]
+    dy *= lane_width_m
+    return np.hypot(dx, dy, out=dx)

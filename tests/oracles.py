@@ -1,7 +1,9 @@
 """Test-only references and instruments for package code.
 
 The scalar references restate a rule the simulator applies in vectorized
-form, written the obvious way, so tests can assert that the two agree.
+form, written the obvious way, so tests can assert that the two agree. The
+reference_* link-budget functions keep the plain array expressions that the
+package now evaluates in place, so tests can assert equal bits.
 TxLog replays every scored reception of a run from its own log of frames.
 
 The instruments observe a Simulation from outside: each wraps methods of one
@@ -12,11 +14,17 @@ subclasses. Both CCA references read the channel through cca_vector, which
 sums the frames on air itself and never asks the engine for a node's state.
 """
 
+import bisect
 import csv
 import math
 
 import numpy as np
 
+from coexsim.channel import (
+    EFFECTIVE_ANTENNA_HEIGHT_M,
+    MIN_PATHLOSS_DISTANCE_M,
+    breakpoint_distance_m,
+)
 from coexsim.engine import EV_SLOT, Simulation
 from coexsim.mac_itsg5 import airtime_us, cca_busy
 from coexsim.mac_ltev2x import OCCUPIED_US, TTI_US
@@ -37,6 +45,38 @@ def distance_m(pos_a: float, lane_a: int, pos_b: float, lane_b: int,
                lane_width_m: float = 4.0) -> float:
     """Euclidean distance on the unwrapped line (mobility wraps, geometry does not)."""
     return math.hypot(pos_a - pos_b, (lane_a - lane_b) * lane_width_m)
+
+
+def reference_distance_matrix(pos_m, lane_index, lane_width_m: float) -> np.ndarray:
+    """distance_matrix as plain expressions, each step a fresh array."""
+    dx = pos_m[:, None] - pos_m[None, :]
+    dy = (lane_index[:, None] - lane_index[None, :]) * lane_width_m
+    return np.hypot(dx, dy)
+
+
+def reference_path_loss_db(d_m, cfg) -> np.ndarray:
+    """path_loss_db as plain expressions: both branches everywhere, then a
+    choice by the breakpoint distance."""
+    d = np.maximum(np.asarray(d_m, dtype=float), MIN_PATHLOSS_DISTANCE_M)
+    f = cfg.carrier_ghz
+    h = EFFECTIVE_ANTENNA_HEIGHT_M
+    log_d = np.log10(d)
+    log_f5 = np.log10(f / 5.0)
+    near = 22.7 * log_d + 41.0 + 20.0 * log_f5
+    far = 40.0 * log_d + 9.45 - 17.3 * np.log10(h) - 17.3 * np.log10(h) + 2.7 * log_f5
+    return np.where(d <= breakpoint_distance_m(f), near, far)
+
+
+def reference_rx_power_mw(pl_db, shadow_db, cfg):
+    """rx_power_mw as one expression, leaving its inputs alone."""
+    rx_dbm = cfg.tx_power_dbm + cfg.tx_gain_db + cfg.rx_gain_db - pl_db - shadow_db
+    return 10.0 ** (rx_dbm / 10.0)
+
+
+def reference_ar1_step(s_db, moved_m, decorr_m: float, noise):
+    """ar1_shadowing_step as one expression, leaving its inputs alone."""
+    rho = np.exp(-np.asarray(moved_m, dtype=float) / decorr_m)
+    return rho * s_db + np.sqrt(1.0 - rho * rho) * noise
 
 
 def read_csv(path) -> list[dict]:
@@ -136,14 +176,15 @@ def record_cca(sim: Simulation) -> tuple[dict[int, list[tuple[int, bool]]],
     return edges, starts
 
 
-def reference_selection(history, sched, node: int,
+def reference_selection(history, sched, station: int,
                         now_tti: int) -> tuple[dict[int, float], float]:
-    """The SPS candidate pool of node at now_tti and its best-n threshold.
+    """The SPS candidate pool of a station (an LTE column) at now_tti and its
+    best-n threshold.
 
     Restates the sensing-based selection (3GPP TS 36.213 14.1.1.6) from the
     history rows and the decoded-reservation table, one candidate at a time.
     Each candidate TTI of the next period is scored by the mean RSSI of its
-    period-spaced lags that the node heard; a lag before TTI 0 or not yet
+    period-spaced lags that the station heard; a lag before TTI 0 or not yet
     finalized reads as the noise floor and heard. The pool excludes
     candidates with any blind lag or a live reserved offset; if that empties
     it, the pool is every candidate not blind on all lags, and failing that
@@ -154,8 +195,8 @@ def reference_selection(history, sched, node: int,
     n_lags = cfg.sensing_window_ttis // period
     reserved = set()
     for tx in range(sched.resv_offset.shape[1]):
-        offset = int(sched.resv_offset[node, tx])
-        if offset >= 0 and now_tti - int(sched.resv_seen[node, tx]) <= cfg.reservation_expiry_ttis:
+        offset = int(sched.resv_offset[station, tx])
+        if offset >= 0 and now_tti - int(sched.resv_seen[station, tx]) <= cfg.reservation_expiry_ttis:
             reserved.add(offset)
 
     scores, any_blind, all_blind = {}, set(), set()
@@ -165,10 +206,10 @@ def reference_selection(history, sched, node: int,
             lag = tti - k * period
             if 0 <= lag <= history.last_finalized_tti:
                 row = lag % history.window
-                if history.blind[row, node]:
+                if history.blind[row, station]:
                     blind_lags += 1
                     continue
-                heard.append(float(history.rssi_mw[row, node]))
+                heard.append(float(history.rssi_mw[row, station]))
             else:
                 heard.append(history.noise_mw)
         scores[tti] = sum(heard) / max(len(heard), 1)
@@ -188,17 +229,17 @@ def reference_selection(history, sched, node: int,
 
 
 def record_selections(sim: Simulation) -> list[tuple]:
-    """Record (node, now_tti, chosen, pool, threshold) for every SPS
+    """Record (station, now_tti, chosen, pool, threshold) for every SPS
     selection, with pool and threshold from reference_selection, taken just
     before the scheduler picks."""
     selections = []
     sched = sim.sps
     select = sched.select_resource
 
-    def spy(node, now_tti):
-        pool, threshold = reference_selection(sched.history, sched, node, now_tti)
-        chosen = select(node, now_tti)
-        selections.append((node, now_tti, chosen, pool, threshold))
+    def spy(station, now_tti):
+        pool, threshold = reference_selection(sched.history, sched, station, now_tti)
+        chosen = select(station, now_tti)
+        selections.append((station, now_tti, chosen, pool, threshold))
         return chosen
 
     sched.select_resource = spy
@@ -315,6 +356,7 @@ class TxLog:
         self.cams = []  # (node, generation time) of every CAM
         self.batches = []  # per _score call: [(engine TxRec, halfdup), ...]
         self.recorded = []  # per record_many call: (batch index, lte, distances, successes)
+        self._starts = []  # near_in_time's index, rebuilt when frames are added
         g5_us = airtime_us(sim.cfg.traffic.payload_bytes, sim.cfg.csma)
         begin_tx, score, record_many = sim._begin_tx, sim._score, sim.hist.record_many
         on_cam = sim._on_cam
@@ -324,7 +366,7 @@ class TxLog:
             self.frames[(node, t_us)] = dict(
                 tx=node, lte=lte, t_gen_us=cam, start_us=t_us,
                 end_us=t_us + (OCCUPIED_US if lte else g5_us),
-                offset=int(sim.sps.offset[node]) if lte else None,
+                offset=int(sim.sps.offset[sim.lte_col[node]]) if lte else None,
                 rx_mw=sim.rx_mw[node].tolist(), dist_m=sim.dist[node].tolist())
             begin_tx(node, cam, t_us)
 
@@ -344,12 +386,22 @@ class TxLog:
         sim._begin_tx, sim._score, sim.hist.record_many = begin_spy, score_spy, record_spy
         sim._on_cam = cam_spy
 
+    def near_in_time(self, f: dict) -> list[dict]:
+        """The logged frames that start less than the longest airtime before f
+        and before f ends: a superset of those overlapping f."""
+        if len(self._starts) != len(self.frames):
+            self._by_start = list(self.frames.values())  # logged in start order
+            self._starts = [g["start_us"] for g in self._by_start]
+            self._longest_us = max(g["end_us"] - g["start_us"] for g in self._by_start)
+        lo = bisect.bisect_right(self._starts, f["start_us"] - self._longest_us)
+        return self._by_start[lo:bisect.bisect_left(self._starts, f["end_us"])]
+
     def receptions(self, f: dict) -> list[dict]:
         """The replayed receptions of frame f, in ascending receiver order."""
         sim, cfg = self.sim, self.sim.cfg
         relevance_mw = 10.0 ** ((sim.noise_dbm - cfg.relevance_margin_db) / 10.0)
         overlapping = [(g, min(f["end_us"], g["end_us"]) - max(f["start_us"], g["start_us"]))
-                       for g in self.frames.values() if g is not f]
+                       for g in self.near_in_time(f) if g is not f]
         overlapping = [(g, w) for g, w in overlapping if w > 0]
         out = []
         for j in range(sim.n):

@@ -23,6 +23,14 @@ from coexsim.channel import (
     rx_power_mw,
     sinr_db,
 )
+from coexsim.scenario import distance_matrix
+
+from oracles import (
+    reference_ar1_step,
+    reference_distance_matrix,
+    reference_path_loss_db,
+    reference_rx_power_mw,
+)
 
 CFG = LinkBudgetConfig()
 EIRP_RX_GAIN_DB = CFG.tx_power_dbm + CFG.tx_gain_db + CFG.rx_gain_db  # 29 dB
@@ -104,6 +112,44 @@ def test_rx_power_is_elementwise_over_pair_matrices():
         for j in range(2):
             assert 10.0 * np.log10(out[i, j]) == pytest.approx(
                 rx_dbm(float(d[i, j]), float(shadow[i, j])))
+
+
+def test_in_place_link_budget_matches_the_plain_expressions(rng):
+    # Each rule is evaluated in place on its own buffers; every element must
+    # still see the same floating-point operations as the plain expressions.
+    # Positions within four breakpoint distances put pairs on both branches.
+    bp = breakpoint_distance_m(CFG.carrier_ghz)
+    pos = rng.uniform(0.0, 4.0 * bp, 60)
+    lanes = rng.integers(0, 6, 60)
+    dist = distance_matrix(pos, lanes, 4.0)
+    assert np.array_equal(dist, reference_distance_matrix(pos, lanes, 4.0))
+    d = np.concatenate([dist.ravel(), [0.0, 3.0, np.nextafter(bp, 0.0), bp,
+                                       np.nextafter(bp, np.inf), 1e4, np.inf]])
+    assert (d <= bp).sum() > 60 and (d > bp).sum() > 60
+    pl = path_loss_db(d, CFG)
+    assert np.array_equal(pl, reference_path_loss_db(d, CFG))
+    shadow = rng.normal(0.0, 3.0, d.size)
+    expected = reference_rx_power_mw(pl, shadow, CFG)
+    assert np.array_equal(rx_power_mw(pl, shadow, CFG), expected)
+    s0 = rng.normal(0.0, 3.0, (40, 40))
+    for moved in (7.78, rng.uniform(0.0, 50.0, s0.shape)):
+        noise = rng.normal(0.0, 3.0, s0.shape)
+        expected = reference_ar1_step(s0, moved, 25.0, noise)
+        assert np.array_equal(ar1_shadowing_step(s0, moved, 3.0, 25.0, noise), expected)
+
+
+@pytest.mark.parametrize("d_m", [1.0, 10.0, 19.0, 100.0])
+def test_scalar_link_budget_inputs_give_what_they_gave_before(d_m):
+    pl, ref_pl = path_loss_db(d_m, CFG), reference_path_loss_db(d_m, CFG)
+    assert type(pl) is type(ref_pl) and pl.shape == () and pl == ref_pl
+    rx, ref_rx = rx_power_mw(pl, 1.5, CFG), reference_rx_power_mw(ref_pl, 1.5, CFG)
+    # The plain expression raised a numpy scalar to the power, the in-place
+    # one a 0-d array; with AVX-512 numpy's array power may differ from the
+    # scalar one in the last place.
+    assert type(rx) is type(ref_rx) and abs(rx - ref_rx) <= np.spacing(ref_rx)
+    s1, ref_s1 = (ar1_shadowing_step(1.7, d_m, 3.0, 25.0, 0.4),
+                  reference_ar1_step(1.7, d_m, 25.0, 0.4))
+    assert type(s1) is type(ref_s1) and s1 == ref_s1
 
 
 def test_ar1_shadowing_zero_displacement_is_identity():
@@ -236,6 +282,20 @@ def test_per_curve_validation():
         PerCurve(np.array([0.0, 1.0]), np.array([1.5, 0.1]))
     with pytest.raises(ValueError):
         PerCurve(np.array([0.0, 1.0]), np.array([0.9]))
+
+
+@pytest.mark.parametrize("sinr, per", [
+    ([np.nan, 3.0], [0.5, 0.1]),
+    ([0.0, 3.0], [np.nan, 0.1]),
+    ([0.0, np.inf], [0.5, 0.1]),
+    ([-np.inf, 3.0], [0.5, 0.1]),
+    ([0.0, 3.0], [0.5, -np.inf]),
+])
+def test_per_curve_rejects_non_finite_points(sinr, per):
+    # A NaN point passed every ordering check and made lookups NaN; an
+    # infinite one flattened the curve.
+    with pytest.raises(ValueError, match="must be finite"):
+        PerCurve(np.array(sinr), np.array(per))
 
 
 @given(

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import heapq
 import re
+import tracemalloc
 import weakref
 from types import SimpleNamespace
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from coexsim import engine as eng
 from coexsim.channel import LinkBudgetConfig, ShadowingConfig, path_loss_db, rx_power_mw
-from coexsim.engine import Simulation
+from coexsim.engine import EngineConfig, Simulation
 from coexsim.mac_itsg5 import CsmaConfig, Phase, airtime_us
 from coexsim.mac_ltev2x import OCCUPIED_US, TTI_US, SpsConfig
 from coexsim.scenario import MAX_VEHICLES, Fleet, RoadConfig, fleet_errors
@@ -24,6 +25,7 @@ from conftest import small_engine_config
 from oracles import (
     AllCcaEdges,
     ContinuousLte,
+    TxLog,
     air_power,
     cca_vector,
     check_accounting,
@@ -173,7 +175,8 @@ def test_sps_window_follows_the_beacon_period(period_ms, mix):
     begin_tx, off_offset = sim._begin_tx, []
 
     def spy(node, cam, t_us):
-        if sim.is_lte[node] and (t_us // TTI_US) % sim.sps.period != sim.sps.offset[node]:
+        if (sim.is_lte[node]
+                and (t_us // TTI_US) % sim.sps.period != sim.sps.offset[sim.lte_col[node]]):
             off_offset.append((node, t_us))
         begin_tx(node, cam, t_us)
 
@@ -323,7 +326,11 @@ def test_accounting_identities_hold_for_any_valid_config(
         warm_up_s=0.2, measure_s=0.5)
     assert cfg.validate() == []
     sim = Simulation(cfg, seed=seed)
+    # The replay also checks the node -> LTE column map wherever the mix
+    # leaves the LTE ids scattered.
+    log = TxLog(sim)
     check_accounting(sim, sim.run())
+    assert log.mismatches() == []
 
 
 def test_mixed_run_populates_reservations():
@@ -331,10 +338,10 @@ def test_mixed_run_populates_reservations():
     sim.run()
     resv = sim.sps.resv_offset
     assert (resv >= 0).any()
-    # Only LTE nodes decode control messages, and only LTE nodes announce.
-    g5 = ~sim.is_lte
-    assert (resv[g5] == -1).all()
-    assert (resv[:, g5] == -1).all()
+    # Only LTE nodes decode control messages, and only LTE nodes announce:
+    # the table has one row and one column per LTE station.
+    m = int(sim.is_lte.sum())
+    assert 0 < m < sim.n and resv.shape == (m, m)
 
 
 def test_second_start_of_an_active_transmitter_is_an_error():
@@ -366,6 +373,37 @@ def test_weak_reservation_is_not_recorded():
         sim.run()
         assert sim.counters["tx_ltev2x"] > 0
         assert (sim.sps.resv_offset[[0, 1], [1, 0]] >= 0).all() == recorded
+
+
+def test_geometry_refresh_holds_few_matrices_and_sps_state_has_lte_width():
+    # The 50/50 mix at twice the default density. A refresh builds the next
+    # shadowing, distance and rx-power matrices in place: it allocated 7.1
+    # n x n float64 buffers at its peak when each step made a fresh array.
+    cfg = EngineConfig(road=RoadConfig(density_veh_per_km=123.0), itsg5_fraction=0.5)
+    sim = Simulation(cfg, seed=1)
+    n, m = sim.n, sim.lte_ids.size
+    assert n == 246 and m == 123
+    tracemalloc.start()
+    try:
+        sim._on_mobility(cfg.mobility_update_ms * 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * n * 8
+    # Only LTE stations sense or reserve, so their state has one column each,
+    # and the LTE rx-power columns are a copy here (not every node is LTE).
+    h, sps = sim.history, sim.sps
+    assert h.rssi_mw.shape == h.blind.shape == (cfg.sps.sensing_window_ttis, m)
+    assert sps.resv_offset.shape == sps.resv_seen.shape == (m, m)
+    assert sps.offset.shape == sps.counter.shape == (m,)
+    assert np.array_equal(sim.rx_lte, sim.rx_mw[:, sim.lte_ids])
+    assert not np.shares_memory(sim.rx_lte, sim.rx_mw)
+
+
+def test_all_lte_run_reads_the_lte_columns_as_views():
+    sim = Simulation(small_engine_config(itsg5_fraction=0.0), seed=1)
+    assert np.shares_memory(sim.rx_lte, sim.rx_mw) and sim.rx_lte.shape == sim.rx_mw.shape
+    assert sim.lte_col.tolist() == list(range(sim.n))
 
 
 def test_half_duplex_receiver_records_no_reservation():
@@ -617,14 +655,16 @@ def test_sensed_rssi_averages_burst_over_occupied_symbols():
     rx_mw = rx_power_mw(path_loss_db(100.0, cfg.link), 0.0, cfg.link)
     expected = rx_mw * 512.0 / OCCUPIED_US + sim.noise_mw
     checked = 0
+    col = sim.lte_col[1]  # the receiver's column in the sensing history
+    assert col == 0
     for t, node in starts:
         tti, off = divmod(t, TTI_US)
         if off + 512 > OCCUPIED_US or tti > sim.history.last_finalized_tti:
             continue
         row = tti % sim.history.window
-        if sim.history.blind[row, 1]:
+        if sim.history.blind[row, col]:
             continue  # receiver transmitted itself in this TTI
-        got = sim.history.rssi_mw[row, 1]
+        got = sim.history.rssi_mw[row, col]
         assert 10 * np.log10(got) == pytest.approx(
             10 * np.log10(expected), abs=0.05)
         checked += 1
@@ -648,9 +688,9 @@ def test_selection_sees_every_ended_tti_and_no_open_one():
 
 
 def test_blind_rows_mark_exactly_the_ttis_of_each_nodes_sidelink_frames():
-    # A node is blind in a TTI exactly when it sent an LTE frame in it; an
-    # ITS-G5 frame never blinds its sender. The run outlasts the window, so
-    # every row has been rewritten.
+    # An LTE station is blind in a TTI exactly when it sent an LTE frame in
+    # it; ITS-G5 nodes have no column. The run outlasts the window, so every
+    # row has been rewritten.
     sim = Simulation(small_engine_config(itsg5_fraction=0.5, measure_s=1.0), seed=4)
     sent, begin_tx = set(), sim._begin_tx
 
@@ -664,7 +704,8 @@ def test_blind_rows_mark_exactly_the_ttis_of_each_nodes_sidelink_frames():
     h = sim.history
     ttis = np.arange(h.last_finalized_tti + 1 - h.window, h.last_finalized_tti + 1)
     assert ttis[0] > 0
-    expected = np.array([[(tti, j) in sent for j in range(sim.n)] for tti in ttis.tolist()])
+    expected = np.array([[(tti, j) in sent for j in sim.lte_ids.tolist()]
+                         for tti in ttis.tolist()])
     np.testing.assert_array_equal(h.blind[ttis % h.window], expected)
     assert expected.any() and sim.counters["tx_itsg5"] > 0
 

@@ -214,6 +214,18 @@ def test_main_reports_curve_file_errors_with_other_parse_errors(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("row", ["nan,0.5", "inf,0.5", "0.0,nan"])
+def test_main_rejects_a_curve_file_with_a_non_finite_point(tmp_path, capsys, row):
+    curve = tmp_path / "curve.csv"
+    curve.write_text(f"sinr_db,per\n{row}\n3.0,0.1\n")
+    cfg_path = write_config(tmp_path, FAST_CONFIG + f"itsg5_per_curve_csv = {curve}\n")
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"{cfg_path}:7: bad value for itsg5_per_curve_csv: "
+        f"{curve}: PER curve sinr_db and per values must be finite"]
+    assert not (tmp_path / "out").exists()
+
+
 def write_curve(path: Path, curve: PerCurve) -> Path:
     rows = zip(curve.sinr_db.tolist(), curve.per.tolist())
     path.write_text("sinr_db,per\n" + "".join(f"{s!r},{p!r}\n" for s, p in rows))

@@ -19,21 +19,21 @@ NOISE_MW = 10 ** (-98.0 / 10.0)
 WINDOW_TTIS = SpsConfig().sensing_window_ttis
 
 
-def flat_history(n_nodes=1) -> SensingHistory:
+def flat_history(n_stations=1) -> SensingHistory:
     # Nothing finalized: every lag falls back to the noise floor, no blindness.
-    return SensingHistory(n_nodes, NOISE_MW, WINDOW_TTIS)
+    return SensingHistory(n_stations, NOISE_MW, WINDOW_TTIS)
 
 
 def make_scheduler(rng=None, cfg=None, history=None) -> SpsScheduler:
-    """A scheduler over the nodes of `history`, on the 100-TTI period; the
-    tests select for node 0."""
+    """A scheduler over the LTE stations (columns) of `history`, on the
+    100-TTI period; the tests select for station 0."""
     history = history or flat_history()
     return SpsScheduler(history.blind_now.size, 100, cfg or SpsConfig(), history,
                         rng if rng is not None else np.random.default_rng(42))
 
 
 def picks_over_seeds(sched, now_tti, trials=2000) -> set[int]:
-    """Every TTI sched picks for node 0 at now_tti, over `trials` seeded RNGs."""
+    """Every TTI sched picks for station 0 at now_tti, over `trials` seeded RNGs."""
     picks = set()
     for seed in range(trials):
         sched.rng = np.random.default_rng(seed)
@@ -166,14 +166,16 @@ def test_blind_candidate_is_excluded_from_pool():
     assert picks_over_seeds(sched, 999) == set(pool)
 
 
-def announce(sched, tx_node, offset, now_tti, receivers=(0,)):
-    """Node tx_node's control message decoded by `receivers`."""
-    sched.note_decode(tx_node, np.array(receivers), offset, now_tti)
+def announce(sched, tx, offset, now_tti, receivers=(0,)):
+    """Station tx's control message decoded by the stations `receivers`."""
+    sched.note_decode(tx, np.array(receivers), offset, now_tti)
 
 
 def test_decoded_reservation_excludes_offset():
     sched = make_scheduler(cfg=SpsConfig(best_fraction=1.0), history=flat_history(6))
     announce(sched, 5, offset=7, now_tti=900)
+    # Rows are receiving stations and columns announcing ones.
+    assert sched.resv_offset.shape == (6, 6)
     assert sched.resv_offset[:, 5].tolist() == [7, -1, -1, -1, -1, -1]
     pool, _ = reference_selection(sched.history, sched, 0, 999)
     assert len(pool) == 99 and 1007 not in pool
