@@ -196,7 +196,8 @@ def reference_selection(history, sched, station: int,
     reserved = set()
     for tx in range(sched.resv_offset.shape[1]):
         offset = int(sched.resv_offset[station, tx])
-        if offset >= 0 and now_tti - int(sched.resv_seen[station, tx]) <= cfg.reservation_expiry_ttis:
+        age = now_tti - int(sched.resv_seen[station, tx])
+        if offset >= 0 and age <= cfg.reservation_expiry_ttis:
             reserved.add(offset)
 
     scores, any_blind, all_blind = {}, set(), set()
