@@ -158,6 +158,11 @@ class PerCurve:
         if np.any((self.per < 0) | (self.per > 1)):
             raise ValueError("PER curve per values must lie in [0,1]")
 
+    def __eq__(self, other):
+        # By value, so configs holding curves compare; arrays have no plain ==.
+        return (isinstance(other, PerCurve) and np.array_equal(self.sinr_db, other.sinr_db)
+                and np.array_equal(self.per, other.per))
+
     def lookup(self, sinr_db) -> np.ndarray:
         return np.interp(sinr_db, self.sinr_db, self.per, left=1.0, right=0.0)
 

@@ -75,8 +75,8 @@ class EngineConfig:
     relevance_margin_db: float = 10.0
     max_distance_m: float = 500.0
     bin_width_m: float = 10.0
-    itsg5_per_curve: PerCurve | None = None
-    ltev2x_per_curve: PerCurve | None = None
+    itsg5_per_curve: PerCurve = field(default_factory=default_itsg5_curve)
+    ltev2x_per_curve: PerCurve = field(default_factory=default_ltev2x_curve)
     # Sensitivity switch for the sidelink decoder abstraction: when False,
     # 802.11p bursts do not degrade sidelink packet decoding (the subframe PER
     # curve is treated as characterized against in-system interference only),
@@ -156,7 +156,7 @@ class RunLog:
 class TxRec:
     """One on-air transmission with its receive-side snapshots.
 
-    rx power and distance rows are frozen at transmission start, rx power
+    rx power and distance rows are copied at transmission start, rx power
     also at the LTE stations alone (rx_lte_mw, in LTE column order);
     interference is accumulated per receiver in mW*us as overlapping
     transmissions end. lte_col is the sender's LTE column, -1 for ITS-G5.
@@ -199,7 +199,7 @@ class Simulation:
         m = self.lte_ids.size
         self.lte_col = np.full(n, -1)
         self.lte_col[self.lte_ids] = np.arange(m)
-        # A slice when every node is LTE, so the LTE columns are views.
+        # A slice when every node is LTE, so a frame's LTE row is a view.
         self._lte_cols = slice(None) if m == n else self.lte_ids
 
         self.noise_dbm = noise_floor_dbm(config.link)
@@ -211,10 +211,7 @@ class Simulation:
         # With preamble detection off no frame reaches this level.
         self.preamble_mw = np.inf if pre is None else 10.0 ** (pre / 10.0)
         self.decode_mw = 10.0 ** (config.sps.decode_threshold_dbm / 10.0)
-        self.curve = {
-            False: config.itsg5_per_curve or default_itsg5_curve(),
-            True: config.ltev2x_per_curve or default_ltev2x_curve(),
-        }
+        self.curve = {False: config.itsg5_per_curve, True: config.ltev2x_per_curve}
 
         self.shadow = ShadowingField(n, config.shadowing.sigma_db,
                                      config.shadowing.decorr_m, self.rng["shadowing"])
@@ -283,15 +280,14 @@ class Simulation:
 
     def _rebuild_geometry(self) -> None:
         cfg = self.cfg
-        # Frames on air keep their rows; the rest of the last epoch goes first.
-        self.dist = self.rx_mw = self.rx_lte = None
+        # The last epoch goes before the next is built; frames own their rows.
+        self.dist = self.rx_mw = None
         dist = distance_matrix(self.pos, self.lane, cfg.road.lane_width_m)
         rx_mw = rx_power_mw(path_loss_db(dist, cfg.link), self.shadow.values_db, cfg.link)
         # A node is never its own receiver.
         np.fill_diagonal(rx_mw, 0.0)
         np.fill_diagonal(dist, np.inf)
         self.dist, self.rx_mw = dist, rx_mw
-        self.rx_lte = rx_mw[:, self._lte_cols]
 
     def _dispatch_cca(self, before, t_us: int) -> None:
         """Send each listening node's CCA edge since `before`, its (node, busy)
@@ -310,8 +306,9 @@ class Simulation:
             raise RuntimeError(f"node {node} is already transmitting")
         lte = bool(self.is_lte[node])
         dur = OCCUPIED_US if lte else self.g5_airtime_us
+        rx = self.rx_mw[node].copy()
         rec = TxRec(node, lte, self.lte_col.item(node), cam, t_us, t_us + dur,
-                    self.rx_mw[node], self.rx_lte[node], self.dist[node], np.zeros(self.n))
+                    rx, rx[self._lte_cols], self.dist[node].copy(), np.zeros(self.n))
         if self.history is not None:
             self.history.advance(t_us, self.active.values())
         before = [(i, self.is_busy(i)) for i in sorted(self.listening)] if self.listening else ()
@@ -345,10 +342,9 @@ class Simulation:
         # starts; its frames never overlap and ends sort before starts.
         halfdup = self.tx_end_us > rec.start_us
         if rec.lte:
-            offset = (rec.start_us // TTI_US) % self.sps.period
             decoders = ((rec.rx_lte_mw >= self.decode_mw)
                         & ~halfdup[self._lte_cols]).nonzero()[0]
-            self.sps.note_decode(rec.lte_col, decoders, offset, t_us // TTI_US)
+            self.sps.note_decode(rec.lte_col, decoders, t_us // TTI_US)
 
         if rec.t_gen_us < self.warmup_us:
             return
@@ -410,9 +406,6 @@ class Simulation:
 
     def _on_mobility(self, t_us: int) -> None:
         cfg = self.cfg
-        # Buffered frames hold rows of this epoch's matrices; scoring them now
-        # frees those matrices before the rebuild allocates the next ones.
-        self._score()
         dt_s = cfg.mobility_update_ms / 1000.0
         self.pos = advance_positions(self.pos, self.dirsign, cfg.road.speed_mps,
                                      dt_s, cfg.road.length_m)

@@ -277,7 +277,9 @@ def run_experiment(cfg: ExperimentConfig, stdout=None) -> dict:
                           _MODE_ORDER.index(mode), r))
 
     # No more workers than runs or usable cores; forking starts them all at once.
-    workers = min(cfg.jobs, len(tasks), len(os.sched_getaffinity(0)))
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)  # macOS and Windows have no affinity call
+    workers = min(cfg.jobs, len(tasks), cores)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             logs = list(pool.map(_execute_run, tasks))

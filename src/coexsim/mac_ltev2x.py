@@ -115,8 +115,9 @@ class SpsScheduler:
     reselected from the sensed best candidates.
 
     Per station: the offset (-1 before the first selection) and the counter.
-    Decoded reservations share one table indexed [receiver, transmitter]: the
-    announced offset (-1 for none) and the TTI it was last decoded.
+    Decoded reservations share one table indexed [receiver, transmitter]:
+    the TTI of the last decode (-1 for never). A sidelink frame lies within
+    one TTI, so that TTI modulo the period is the offset it announced.
     """
 
     def __init__(self, n_stations: int, period_ttis: int, cfg: SpsConfig,
@@ -127,8 +128,7 @@ class SpsScheduler:
         self.rng = rng
         self.offset = np.full(n_stations, -1)
         self.counter = np.zeros(n_stations, dtype=int)
-        self.resv_offset = np.full((n_stations, n_stations), -1)
-        self.resv_seen = np.zeros((n_stations, n_stations), dtype=int)
+        self.resv_tti = np.full((n_stations, n_stations), -1)
 
     def _draw_counter(self) -> int:
         return int(self.rng.integers(self.cfg.counter_min, self.cfg.counter_max + 1))
@@ -140,10 +140,10 @@ class SpsScheduler:
     def reserved_offset_mask(self, station: int, now_tti: int) -> np.ndarray:
         """Offsets announced by the reservations this station decoded that are
         still live at now_tti."""
-        offsets = self.resv_offset[station]
-        age = now_tti - self.resv_seen[station]
+        seen = self.resv_tti[station]
+        live = (seen >= 0) & (now_tti - seen <= self.cfg.reservation_expiry_ttis)
         mask = np.zeros(self.period, dtype=bool)
-        mask[offsets[(offsets >= 0) & (age <= self.cfg.reservation_expiry_ttis)]] = True
+        mask[seen[live] % self.period] = True
         return mask
 
     def select_resource(self, station: int, now_tti: int) -> int:
@@ -197,8 +197,7 @@ class SpsScheduler:
         self.counter[station] = self._draw_counter()
         return tx_tti
 
-    def note_decode(self, tx: int, receivers: np.ndarray, offset: int, now_tti: int) -> None:
+    def note_decode(self, tx: int, receivers: np.ndarray, now_tti: int) -> None:
         """Record station tx's reservation at every receiver that decoded its
-        control message."""
-        self.resv_offset[receivers, tx] = offset
-        self.resv_seen[receivers, tx] = now_tti
+        control message, sent in TTI now_tti."""
+        self.resv_tti[receivers, tx] = now_tti

@@ -193,12 +193,10 @@ def reference_selection(history, sched, station: int,
     """
     cfg, period = sched.cfg, sched.period
     n_lags = cfg.sensing_window_ttis // period
-    reserved = set()
-    for tx in range(sched.resv_offset.shape[1]):
-        offset = int(sched.resv_offset[station, tx])
-        age = now_tti - int(sched.resv_seen[station, tx])
-        if offset >= 0 and age <= cfg.reservation_expiry_ttis:
-            reserved.add(offset)
+    reserved = set()  # a reservation decoded in TTI t announced offset t % period
+    for seen in sched.resv_tti[station].tolist():
+        if seen >= 0 and now_tti - seen <= cfg.reservation_expiry_ttis:
+            reserved.add(seen % period)
 
     scores, any_blind, all_blind = {}, set(), set()
     for tti in range(now_tti + 1, now_tti + 1 + period):
@@ -347,14 +345,18 @@ class TxLog:
     The log of frames and of CAM generations also checks the MAC rules on
     its own: no node's frames overlap (half-open); each LTE frame starts on a
     TTI boundary, in the TTI of its node's SPS offset at that instant, one to
-    one period of TTIs after its CAM's TTI; and every generated CAM is sent
-    once, dropped or still pending, as the counters say.
+    one period of TTIs after its CAM's TTI; every decoded reservation
+    (note_decode) names an LTE frame of its station that started in the TTI
+    it records, so that TTI modulo the period is the frame's offset; and
+    every generated CAM is sent once, dropped or still pending, as the
+    counters say.
     """
 
     def __init__(self, sim: Simulation):
         self.sim = sim
         self.frames = {}  # (tx, start_us) -> logged frame
         self.cams = []  # (node, generation time) of every CAM
+        self.decodes = []  # (node, now_tti) of every note_decode call
         self.batches = []  # per _score call: [(engine TxRec, halfdup), ...]
         self.recorded = []  # per record_many call: (batch index, lte, distances, successes)
         self._starts = []  # near_in_time's index, rebuilt when frames are added
@@ -386,6 +388,14 @@ class TxLog:
 
         sim._begin_tx, sim._score, sim.hist.record_many = begin_spy, score_spy, record_spy
         sim._on_cam = cam_spy
+        if sim.sps is not None:
+            note_decode = sim.sps.note_decode
+
+            def decode_spy(tx, receivers, now_tti):
+                self.decodes.append((int(sim.lte_ids[tx]), now_tti))
+                note_decode(tx, receivers, now_tti)
+
+            sim.sps.note_decode = decode_spy
 
     def near_in_time(self, f: dict) -> list[dict]:
         """The logged frames that start less than the longest airtime before f
@@ -434,6 +444,11 @@ class TxLog:
                              or not 1 <= tti - f["t_gen_us"] // TTI_US <= period):
                 problems.append(f"LTE frame {f['tx']}@{f['start_us']} us is not on offset "
                                 f"{f['offset']} within one period after its CAM")
+        for node, tti in self.decodes:
+            f = self.frames.get((node, tti * TTI_US))
+            if f is None or not f["lte"] or tti % period != f["offset"]:
+                problems.append(f"node {node}'s reservation decoded in TTI {tti} names no "
+                                f"LTE frame of it on that offset")
         cams = set(self.cams)
         sent = [(f["tx"], f["t_gen_us"]) for f in self.frames.values()]
         unsent = cams - set(sent)

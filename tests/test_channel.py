@@ -319,6 +319,9 @@ def test_per_curve_csv_roundtrip(tmp_path):
     c = PerCurve.from_csv(path)
     assert c.lookup(0.1) == pytest.approx(0.1)
     assert c.lookup(-2.0) == pytest.approx(1.0)
+    # Curves compare by value, as the configs that hold them do.
+    assert c == PerCurve([-2.0, 0.1, 2.0], [1.0, 0.1, 0.0])
+    assert c != PerCurve.three_point(0.1)
 
 
 def test_per_curve_csv_header_error(tmp_path):

@@ -336,7 +336,7 @@ def test_accounting_identities_hold_for_any_valid_config(
 def test_mixed_run_populates_reservations():
     sim = Simulation(small_engine_config(), seed=11)
     sim.run()
-    resv = sim.sps.resv_offset
+    resv = sim.sps.resv_tti
     assert (resv >= 0).any()
     # Only LTE nodes decode control messages, and only LTE nodes announce:
     # the table has one row and one column per LTE station.
@@ -372,7 +372,7 @@ def test_weak_reservation_is_not_recorded():
                          fleet=two_vehicles(d_m, (True, True)))
         sim.run()
         assert sim.counters["tx_ltev2x"] > 0
-        assert (sim.sps.resv_offset[[0, 1], [1, 0]] >= 0).all() == recorded
+        assert (sim.sps.resv_tti[[0, 1], [1, 0]] >= 0).all() == recorded
 
 
 def test_geometry_refresh_holds_few_matrices_and_sps_state_has_lte_width():
@@ -390,20 +390,38 @@ def test_geometry_refresh_holds_few_matrices_and_sps_state_has_lte_width():
     finally:
         tracemalloc.stop()
     assert peak < 4 * n * n * 8
-    # Only LTE stations sense or reserve, so their state has one column each,
-    # and the LTE rx-power columns are a copy here (not every node is LTE).
+    # Only LTE stations sense or reserve, so their state has one column each.
     h, sps = sim.history, sim.sps
     assert h.rssi_mw.shape == h.blind.shape == (cfg.sps.sensing_window_ttis, m)
-    assert sps.resv_offset.shape == sps.resv_seen.shape == (m, m)
+    assert sps.resv_tti.shape == (m, m)
     assert sps.offset.shape == sps.counter.shape == (m,)
-    assert np.array_equal(sim.rx_lte, sim.rx_mw[:, sim.lte_ids])
-    assert not np.shares_memory(sim.rx_lte, sim.rx_mw)
+
+
+def test_refresh_frees_the_previous_epoch_under_a_frame_on_air():
+    # A frame owns copies of its rows, so the epoch it started in is freed at
+    # the next refresh even while the frame is on air.
+    sim = Simulation(small_engine_config(itsg5_fraction=0.5), seed=1)
+    g5 = int(np.flatnonzero(~sim.is_lte)[0])
+    sim._begin_tx(g5, 0, 0)
+    rec = sim.active[g5]
+    assert rec.rx_mw.tolist() == sim.rx_mw[g5].tolist()
+    assert rec.dist_m.tolist() == sim.dist[g5].tolist()
+    assert rec.rx_lte_mw.tolist() == sim.rx_mw[g5, sim.lte_ids].tolist()
+    for row in (rec.rx_mw, rec.rx_lte_mw, rec.dist_m):
+        assert not np.shares_memory(row, sim.rx_mw) and not np.shares_memory(row, sim.dist)
+    old = weakref.ref(sim.rx_mw), weakref.ref(sim.dist)
+    sim._on_mobility(sim.cfg.mobility_update_ms * 1000)
+    assert g5 in sim.active and old[0]() is None and old[1]() is None
 
 
 def test_all_lte_run_reads_the_lte_columns_as_views():
     sim = Simulation(small_engine_config(itsg5_fraction=0.0), seed=1)
-    assert np.shares_memory(sim.rx_lte, sim.rx_mw) and sim.rx_lte.shape == sim.rx_mw.shape
     assert sim.lte_col.tolist() == list(range(sim.n))
+    # Every column is an LTE column, so a frame's LTE row is its own rx row.
+    sim._begin_tx(0, 0, 0)
+    rec = sim.active[0]
+    assert np.shares_memory(rec.rx_lte_mw, rec.rx_mw) and rec.rx_lte_mw.shape == rec.rx_mw.shape
+    assert not np.shares_memory(rec.rx_mw, sim.rx_mw)
 
 
 def test_half_duplex_receiver_records_no_reservation():
@@ -413,7 +431,7 @@ def test_half_duplex_receiver_records_no_reservation():
     sim = ContinuousLte(cfg, seed=5, fleet=two_vehicles(50.0, (True, True)))
     sim.run()
     assert sim.counters["tx_ltev2x"] > 0
-    assert (sim.sps.resv_offset == -1).all()
+    assert (sim.sps.resv_tti == -1).all()
 
 
 def test_node_never_records_its_own_reservation():
@@ -421,7 +439,7 @@ def test_node_never_records_its_own_reservation():
     cfg = small_engine_config(itsg5_fraction=0.0, shadowing=NO_SHADOW, measure_s=1.0)
     sim = Simulation(cfg, seed=5, fleet=two_vehicles(100.0, (True, True)))
     sim.run()
-    resv = sim.sps.resv_offset
+    resv = sim.sps.resv_tti
     assert resv[0, 1] >= 0 and resv[1, 0] >= 0
     assert resv[0, 0] == -1 and resv[1, 1] == -1
 

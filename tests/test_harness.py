@@ -107,12 +107,13 @@ def test_config_missing_file(tmp_path):
 def test_config_keys_reach_every_engine_field():
     # A field no config key sets is a knob only tests can turn. The harness
     # sets the two exempt fields itself, from `modes` and `mix_fractions`.
+    # A PER curve is one value, set whole from its file's key.
     exempt = {"traffic.mode", "itsg5_fraction"}
     cfg = EngineConfig()
     leaves = set()
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if is_dataclass(value):
+        if is_dataclass(value) and not isinstance(value, PerCurve):
             leaves |= {f"{f.name}.{sub.name}" for sub in fields(value)}
         else:
             leaves.add(f.name)
@@ -287,6 +288,15 @@ def test_pool_is_no_larger_than_the_runs_or_the_cores(tmp_path, monkeypatch,
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cores)))
+    results = run_experiment(fast_experiment(tmp_path, jobs=jobs, runs=runs),
+                             stdout=io.StringIO())
+    assert sizes == ([] if workers is None else [workers])
+    assert results[("standard", 0.5)].n_runs == runs
+    # Without an affinity call (macOS, Windows) the CPU count stands in; an
+    # unknown count (None) counts as one core.
+    sizes.clear()
+    monkeypatch.delattr(harness.os, "sched_getaffinity")
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cores if cores > 1 else None)
     results = run_experiment(fast_experiment(tmp_path, jobs=jobs, runs=runs),
                              stdout=io.StringIO())
     assert sizes == ([] if workers is None else [workers])

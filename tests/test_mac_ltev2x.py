@@ -166,17 +166,18 @@ def test_blind_candidate_is_excluded_from_pool():
     assert picks_over_seeds(sched, 999) == set(pool)
 
 
-def announce(sched, tx, offset, now_tti, receivers=(0,)):
-    """Station tx's control message decoded by the stations `receivers`."""
-    sched.note_decode(tx, np.array(receivers), offset, now_tti)
+def announce(sched, tx, now_tti, receivers=(0,)):
+    """Station tx's control message, sent in TTI now_tti, decoded by the
+    stations `receivers`: it announces offset now_tti % period."""
+    sched.note_decode(tx, np.array(receivers), now_tti)
 
 
 def test_decoded_reservation_excludes_offset():
     sched = make_scheduler(cfg=SpsConfig(best_fraction=1.0), history=flat_history(6))
-    announce(sched, 5, offset=7, now_tti=900)
+    announce(sched, 5, now_tti=907)
     # Rows are receiving stations and columns announcing ones.
-    assert sched.resv_offset.shape == (6, 6)
-    assert sched.resv_offset[:, 5].tolist() == [7, -1, -1, -1, -1, -1]
+    assert sched.resv_tti.shape == (6, 6)
+    assert sched.resv_tti[:, 5].tolist() == [907, -1, -1, -1, -1, -1]
     pool, _ = reference_selection(sched.history, sched, 0, 999)
     assert len(pool) == 99 and 1007 not in pool
     assert picks_over_seeds(sched, 999) == set(pool)
@@ -184,18 +185,18 @@ def test_decoded_reservation_excludes_offset():
 
 def test_reservation_expires_after_one_second():
     sched = make_scheduler(history=flat_history(6))
-    announce(sched, 5, offset=7, now_tti=900)
-    assert sched.reserved_offset_mask(0, 1900).tolist() == [i == 7 for i in range(100)]
-    assert not sched.reserved_offset_mask(0, 1902).any()
+    announce(sched, 5, now_tti=907)
+    assert sched.reserved_offset_mask(0, 1907).tolist() == [i == 7 for i in range(100)]
+    assert not sched.reserved_offset_mask(0, 1909).any()
     # A fresh decode of the same transmitter revives the entry.
-    announce(sched, 5, offset=9, now_tti=1901)
-    assert sched.reserved_offset_mask(0, 1902).nonzero()[0].tolist() == [9]
+    announce(sched, 5, now_tti=1909)
+    assert sched.reserved_offset_mask(0, 1910).nonzero()[0].tolist() == [9]
 
 
 def test_all_offsets_reserved_falls_back_to_full_pool():
     sched = make_scheduler(cfg=SpsConfig(best_fraction=1.0), history=flat_history(101))
     for n in range(100):
-        announce(sched, n + 1, offset=n, now_tti=900)
+        announce(sched, n + 1, now_tti=900 + n)
     assert sched.reserved_offset_mask(0, 999).all()
     pool, _ = reference_selection(sched.history, sched, 0, 999)
     assert len(pool) == 100
