@@ -89,9 +89,10 @@ def spread(runs: dict, metric: str, higher_better: bool, digits: int) -> dict:
 
 
 def host() -> dict:
+    cpuinfo = Path("/proc/cpuinfo")  # Linux only
+    lines = cpuinfo.read_text().splitlines() if cpuinfo.exists() else []
     model = next((line.split(":", 1)[1].strip()
-                  for line in Path("/proc/cpuinfo").read_text().splitlines()
-                  if line.startswith("model name")), platform.processor())
+                  for line in lines if line.startswith("model name")), platform.processor())
     return {"cores": os.cpu_count(), "cpu_model": model,
             "python": platform.python_version(), "numpy": numpy.__version__,
             "os": platform.system()}

@@ -199,8 +199,6 @@ class Simulation:
         m = self.lte_ids.size
         self.lte_col = np.full(n, -1)
         self.lte_col[self.lte_ids] = np.arange(m)
-        # A slice when every node is LTE, so a frame's LTE row is a view.
-        self._lte_cols = slice(None) if m == n else self.lte_ids
 
         self.noise_dbm = noise_floor_dbm(config.link)
         self.noise_mw = 10.0 ** (self.noise_dbm / 10.0)
@@ -221,6 +219,7 @@ class Simulation:
         self.tx_end_us = np.zeros(n, dtype=np.int64)  # end of each node's latest frame
         # The nodes whose CsmaMac is in AIFS, COUNT or DEFER, kept by the MACs.
         self.listening: set[int] = set()
+        self.sensed_busy = [False] * n  # each node's last CCA read, kept by is_busy
 
         self.macs: list[CsmaMac | None] = [
             None if lte else CsmaMac(i, config.csma, self.rng["backoff"], self)
@@ -246,6 +245,7 @@ class Simulation:
         }
 
         self.now = 0
+        self.ran = False
         self.end_us = round((config.warm_up_s + config.measure_s) * 1e6)
         self.warmup_us = round(config.warm_up_s * 1e6)
         self._seq = count()
@@ -259,19 +259,34 @@ class Simulation:
     # -- airlink interface used by the CSMA MACs -----------------------------
 
     def is_busy(self, node: int) -> bool:
-        """The node's CCA state, from the frames on air in start order."""
+        """The node's CCA state from the frames on air in start order, kept in sensed_busy."""
         power, preambles = 0.0, 0
         for rec in self.active.values():
             mw = rec.rx_mw.item(node)  # a float adds as a float64 does, only faster
             power += mw
             preambles += not rec.lte and mw >= self.preamble_mw
-        return cca_busy(power, self.noise_mw, self.cca_mw, preambles)
+        self.sensed_busy[node] = busy = cca_busy(power, self.noise_mw, self.cca_mw, preambles)
+        return busy
 
     def arm_timer(self, node: int, due_us: int, token: int) -> None:
         self._push(due_us, EV_MACTIMER, (node, token))
 
     def start_tx(self, node: int, cam: int, now_us: int) -> None:
-        self._begin_tx(node, cam, now_us)
+        """Put the node's frame on air: CSMA MACs and sidelink slots both start here."""
+        if node in self.active:
+            raise RuntimeError(f"node {node} is already transmitting")
+        lte = bool(self.is_lte[node])
+        dur = OCCUPIED_US if lte else self.g5_airtime_us
+        rx = self.rx_mw[node].copy()
+        rec = TxRec(node, lte, self.lte_col.item(node), cam, now_us, now_us + dur,
+                    rx, rx[self.lte_ids], self.dist[node].copy(), np.zeros(self.n))
+        if self.history is not None:
+            self.history.advance(now_us, self.active.values())
+        self.active[node] = rec
+        self.tx_end_us[node] = rec.end_us
+        self._dispatch_cca(now_us)
+        self._push(rec.end_us, EV_TXEND, rec)
+        self.counters["tx_ltev2x" if lte else "tx_itsg5"] += 1
 
     # -- internals -----------------------------------------------------------
 
@@ -289,37 +304,22 @@ class Simulation:
         np.fill_diagonal(dist, np.inf)
         self.dist, self.rx_mw = dist, rx_mw
 
-    def _dispatch_cca(self, before, t_us: int) -> None:
-        """Send each listening node's CCA edge since `before`, its (node, busy)
-        pairs, to its MAC, which decides whether to act: on_idle on a turn to
-        idle, on_busy on a turn to busy. Edges go out in ascending node order,
-        so the backoff draws come as if every MAC heard every edge."""
-        for i, was_busy in before:
+    def _dispatch_cca(self, t_us: int) -> None:
+        """Send each listening node's CCA edge, a fresh read that differs from
+        its last, to its MAC, which decides whether to act: on_idle on a turn
+        to idle, on_busy on a turn to busy. A node is read as it starts to
+        listen and at every frame start and end, and frames own their rows, so
+        its last read is its state before this change. Ascending node order
+        draws the backoffs as if every MAC heard every edge."""
+        for i in sorted(self.listening):
+            was_busy = self.sensed_busy[i]
             if self.is_busy(i) != was_busy:
                 if was_busy:
                     self.macs[i].on_idle(t_us)
                 else:
                     self.macs[i].on_busy(t_us)
 
-    def _begin_tx(self, node: int, cam: int, t_us: int) -> None:
-        if node in self.active:
-            raise RuntimeError(f"node {node} is already transmitting")
-        lte = bool(self.is_lte[node])
-        dur = OCCUPIED_US if lte else self.g5_airtime_us
-        rx = self.rx_mw[node].copy()
-        rec = TxRec(node, lte, self.lte_col.item(node), cam, t_us, t_us + dur,
-                    rx, rx[self._lte_cols], self.dist[node].copy(), np.zeros(self.n))
-        if self.history is not None:
-            self.history.advance(t_us, self.active.values())
-        before = [(i, self.is_busy(i)) for i in sorted(self.listening)] if self.listening else ()
-        self.active[node] = rec
-        self.tx_end_us[node] = rec.end_us
-        self._dispatch_cca(before, t_us)
-        self._push(rec.end_us, EV_TXEND, rec)
-        self.counters["tx_ltev2x" if lte else "tx_itsg5"] += 1
-
     def _end_tx(self, rec: TxRec, t_us: int) -> None:
-        before = [(i, self.is_busy(i)) for i in sorted(self.listening)] if self.listening else ()
         if self.history is not None:
             self.history.advance(t_us, self.active.values())
         del self.active[rec.tx]
@@ -331,7 +331,7 @@ class Simulation:
                     other.interf_mw_us += rec.rx_mw * w
                 if other.lte or not rec.lte or count_at_lte:
                     rec.interf_mw_us += other.rx_mw * w
-        self._dispatch_cca(before, t_us)
+        self._dispatch_cca(t_us)
         self._deliver(rec, t_us)
         mac = self.macs[rec.tx]
         if mac is not None:
@@ -343,7 +343,7 @@ class Simulation:
         halfdup = self.tx_end_us > rec.start_us
         if rec.lte:
             decoders = ((rec.rx_lte_mw >= self.decode_mw)
-                        & ~halfdup[self._lte_cols]).nonzero()[0]
+                        & ~halfdup[self.lte_ids]).nonzero()[0]
             self.sps.note_decode(rec.lte_col, decoders, t_us // TTI_US)
 
         if rec.t_gen_us < self.warmup_us:
@@ -384,7 +384,7 @@ class Simulation:
         self.counters["rx_halfduplex"] += int(halfdup.sum())
 
     def _on_slot(self, node: int, t_us: int) -> None:
-        self._begin_tx(node, self.lte_pending.pop(node), t_us)
+        self.start_tx(node, self.lte_pending.pop(node), t_us)
 
     def _on_cam(self, node: int, t_us: int) -> None:
         next_us = self.sources.generate(node, t_us)
@@ -417,6 +417,9 @@ class Simulation:
             self._push(nxt, EV_MOBILITY, None)
 
     def run(self) -> RunLog:
+        if self.ran:
+            raise RuntimeError("a Simulation runs once")
+        self.ran = True
         heap = self.heap
         while heap:
             t, kind, _, payload = heapq.heappop(heap)

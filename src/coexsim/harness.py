@@ -61,6 +61,9 @@ class ExperimentConfig:
                                   f"seed key {_mix_key(a)}")
         if not self.modes:
             errors.append("modes must be non-empty")
+        # A repeated mode would run its points twice and write their files twice.
+        errors += [f"modes entry {m.value} is repeated"
+                   for m in dict.fromkeys(self.modes) if self.modes.count(m) > 1]
         if not self.runs >= 1:
             errors.append("runs must be >= 1")
         if not self.master_seed >= 0:

@@ -154,25 +154,20 @@ def record_cca(sim: Simulation) -> tuple[dict[int, list[tuple[int, bool]]],
             if i in edges:
                 edges[i].append((t_us, bool(busy[i])))
 
-    begin_tx, end_tx = sim._begin_tx, sim._end_tx
+    start_tx, end_tx = sim.start_tx, sim._end_tx
+    starts = []
 
-    def begin_spy(node, cam, t_us):
-        begin_tx(node, cam, t_us)
+    def start_spy(node, cam, t_us):
+        start_tx(node, cam, t_us)
         note_edges(t_us)
+        if not sim.is_lte[node]:
+            starts.append((t_us, node))
 
     def end_spy(rec, t_us):
         end_tx(rec, t_us)
         note_edges(t_us)
 
-    sim._begin_tx, sim._end_tx = begin_spy, end_spy
-    starts = []
-    start_tx = sim.start_tx
-
-    def spy(node, cam, now_us):
-        start_tx(node, cam, now_us)
-        starts.append((now_us, node))
-
-    sim.start_tx = spy
+    sim.start_tx, sim._end_tx = start_spy, end_spy
     return edges, starts
 
 
@@ -288,7 +283,7 @@ class AllCcaEdges(Simulation):
     def is_busy(self, node: int) -> bool:
         return bool(self.busy[node])
 
-    def _dispatch_cca(self, before, t_us: int) -> None:
+    def _dispatch_cca(self, t_us: int) -> None:
         busy_new = cca_vector(self)
         changed = np.nonzero(busy_new != self.busy)[0]
         self.busy = busy_new
@@ -361,17 +356,17 @@ class TxLog:
         self.recorded = []  # per record_many call: (batch index, lte, distances, successes)
         self._starts = []  # near_in_time's index, rebuilt when frames are added
         g5_us = airtime_us(sim.cfg.traffic.payload_bytes, sim.cfg.csma)
-        begin_tx, score, record_many = sim._begin_tx, sim._score, sim.hist.record_many
+        start_tx, score, record_many = sim.start_tx, sim._score, sim.hist.record_many
         on_cam = sim._on_cam
 
-        def begin_spy(node, cam, t_us):
+        def start_spy(node, cam, t_us):
             lte = bool(sim.is_lte[node])
             self.frames[(node, t_us)] = dict(
                 tx=node, lte=lte, t_gen_us=cam, start_us=t_us,
                 end_us=t_us + (OCCUPIED_US if lte else g5_us),
                 offset=int(sim.sps.offset[sim.lte_col[node]]) if lte else None,
                 rx_mw=sim.rx_mw[node].tolist(), dist_m=sim.dist[node].tolist())
-            begin_tx(node, cam, t_us)
+            start_tx(node, cam, t_us)
 
         def cam_spy(node, t_us):
             self.cams.append((node, t_us))
@@ -386,7 +381,7 @@ class TxLog:
                                   distances_m.tolist(), successes.tolist()))
             record_many(tech_index, distances_m, successes)
 
-        sim._begin_tx, sim._score, sim.hist.record_many = begin_spy, score_spy, record_spy
+        sim.start_tx, sim._score, sim.hist.record_many = start_spy, score_spy, record_spy
         sim._on_cam = cam_spy
         if sim.sps is not None:
             note_decode = sim.sps.note_decode

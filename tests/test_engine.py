@@ -172,15 +172,15 @@ def test_sps_window_follows_the_beacon_period(period_ms, mix):
     assert cfg.validate() == []
     sim = Simulation(cfg, seed=1)
     assert sim.sps.period * TTI_US == round(period_ms * 1000)
-    begin_tx, off_offset = sim._begin_tx, []
+    start_tx, off_offset = sim.start_tx, []
 
     def spy(node, cam, t_us):
         if (sim.is_lte[node]
                 and (t_us // TTI_US) % sim.sps.period != sim.sps.offset[sim.lte_col[node]]):
             off_offset.append((node, t_us))
-        begin_tx(node, cam, t_us)
+        start_tx(node, cam, t_us)
 
-    sim._begin_tx = spy
+    sim.start_tx = spy
     c = sim.run().counters
     assert c["tx_ltev2x"] > 0 and off_offset == []
     assert c["cams_dropped"] == 0
@@ -347,9 +347,9 @@ def test_mixed_run_populates_reservations():
 def test_second_start_of_an_active_transmitter_is_an_error():
     cfg = small_engine_config(itsg5_fraction=1.0)
     sim = Simulation(cfg, seed=1, fleet=two_vehicles())
-    sim._begin_tx(0, 0, 0)
+    sim.start_tx(0, 0, 0)
     with pytest.raises(RuntimeError, match="already transmitting"):
-        sim._begin_tx(0, 0, 100)
+        sim.start_tx(0, 0, 100)
 
 
 def test_event_in_the_past_is_an_error():
@@ -359,6 +359,17 @@ def test_event_in_the_past_is_an_error():
     with pytest.raises(RuntimeError,
                        match=f"event at {first_us} us processed after {first_us + 1} us"):
         sim.run()
+
+
+@pytest.mark.parametrize("mix", [0.0, 0.5])
+def test_second_run_is_an_error_and_leaves_the_first_log_alone(mix):
+    sim = Simulation(small_engine_config(itsg5_fraction=mix), seed=11)
+    log = sim.run()
+    digest, pending = log.digest(), len(sim.heap)
+    with pytest.raises(RuntimeError, match="a Simulation runs once"):
+        sim.run()
+    assert log.digest() == digest
+    assert sim.now == sim.end_us and len(sim.heap) == pending
 
 
 def test_weak_reservation_is_not_recorded():
@@ -402,7 +413,7 @@ def test_refresh_frees_the_previous_epoch_under_a_frame_on_air():
     # the next refresh even while the frame is on air.
     sim = Simulation(small_engine_config(itsg5_fraction=0.5), seed=1)
     g5 = int(np.flatnonzero(~sim.is_lte)[0])
-    sim._begin_tx(g5, 0, 0)
+    sim.start_tx(g5, 0, 0)
     rec = sim.active[g5]
     assert rec.rx_mw.tolist() == sim.rx_mw[g5].tolist()
     assert rec.dist_m.tolist() == sim.dist[g5].tolist()
@@ -412,16 +423,6 @@ def test_refresh_frees_the_previous_epoch_under_a_frame_on_air():
     old = weakref.ref(sim.rx_mw), weakref.ref(sim.dist)
     sim._on_mobility(sim.cfg.mobility_update_ms * 1000)
     assert g5 in sim.active and old[0]() is None and old[1]() is None
-
-
-def test_all_lte_run_reads_the_lte_columns_as_views():
-    sim = Simulation(small_engine_config(itsg5_fraction=0.0), seed=1)
-    assert sim.lte_col.tolist() == list(range(sim.n))
-    # Every column is an LTE column, so a frame's LTE row is its own rx row.
-    sim._begin_tx(0, 0, 0)
-    rec = sim.active[0]
-    assert np.shares_memory(rec.rx_lte_mw, rec.rx_mw) and rec.rx_lte_mw.shape == rec.rx_mw.shape
-    assert not np.shares_memory(rec.rx_mw, sim.rx_mw)
 
 
 def test_half_duplex_receiver_records_no_reservation():
@@ -527,8 +528,8 @@ def test_concurrent_power_sums_and_two_tier_sensing():
     cfg = small_engine_config(itsg5_fraction=1.0, shadowing=NO_SHADOW, warm_up_s=0.0)
     sim = Simulation(cfg, seed=1, fleet=fleet)
     assert not any(sim.is_busy(i) for i in range(sim.n))
-    sim._begin_tx(0, 0, 0)
-    sim._begin_tx(1, 0, 0)
+    sim.start_tx(0, 0, 0)
+    sim.start_tx(1, 0, 0)
     # Middle node hears both 100 m neighbours at about -71 dBm each.
     per_link = rx_power_mw(path_loss_db(100.0, cfg.link), 0.0, cfg.link)
     power_mw, preambles = air_power(sim)
@@ -553,10 +554,10 @@ def test_frame_ending_as_another_starts_leaves_its_sender_listening():
     # so node 1 hears the frame node 0 starts then.
     cfg = small_engine_config(itsg5_fraction=1.0, shadowing=NO_SHADOW, warm_up_s=0.0)
     sim = Simulation(cfg, seed=1, fleet=two_vehicles())
-    sim._begin_tx(1, 0, 100)
+    sim.start_tx(1, 0, 100)
     first = sim.active[1]
     sim._end_tx(first, first.end_us)
-    sim._begin_tx(0, 0, first.end_us)
+    sim.start_tx(0, 0, first.end_us)
     second = sim.active[0]
     sim._end_tx(second, second.end_us)
     sim._score()
@@ -567,8 +568,8 @@ def test_frame_ending_as_another_starts_leaves_its_sender_listening():
 def test_receiver_that_starts_during_the_frame_is_deaf_to_it():
     cfg = small_engine_config(itsg5_fraction=1.0, shadowing=NO_SHADOW, warm_up_s=0.0)
     sim = Simulation(cfg, seed=1, fleet=two_vehicles())
-    sim._begin_tx(0, 0, 0)
-    sim._begin_tx(1, 0, 100)
+    sim.start_tx(0, 0, 0)
+    sim.start_tx(1, 0, 100)
     first = sim.active[0]
     sim._end_tx(first, first.end_us)
     sim._score()
@@ -582,10 +583,10 @@ def test_two_itsg5_frames_inside_one_lte_frame_leave_the_sender_deaf():
     cfg = small_engine_config(itsg5_fraction=0.5, shadowing=NO_SHADOW, warm_up_s=0.0,
                               csma=CsmaConfig(mcs_data_rate_bps=12e6))
     sim = Simulation(cfg, seed=1, fleet=two_vehicles(100.0, (True, False)))
-    sim._begin_tx(0, 0, 0)
+    sim.start_tx(0, 0, 0)
     lte = sim.active[0]
     for start_us in (100, 500):
-        sim._begin_tx(1, 0, start_us)
+        sim.start_tx(1, 0, start_us)
         sim._end_tx(sim.active[1], start_us + sim.g5_airtime_us)
     assert sim.tx_end_us[1] == 780 < lte.end_us
     sim._score()
@@ -601,7 +602,7 @@ def test_energy_only_sensing_ignores_sub_threshold_preambles():
     cfg = small_engine_config(itsg5_fraction=1.0, shadowing=NO_SHADOW)
     cfg.csma.preamble_threshold_dbm = None
     sim = Simulation(cfg, seed=1, fleet=fleet)
-    sim._begin_tx(0, 0, 0)
+    sim.start_tx(0, 0, 0)
     assert not sim.is_busy(1)  # -71 dBm is below the energy gate
     assert air_power(sim)[1][1] == 0
 
@@ -643,6 +644,32 @@ def test_listener_set_and_cca_reads_follow_the_run(monkeypatch):
                                                        heappop=checked_heappop))
     sim.run()
     assert lte.size > 0 and seen == set(Phase) and busy_reads > 0
+
+
+def test_frame_start_reads_each_listening_node_once():
+    # Four ITS-G5 MACs begin to listen on an idle channel, then node 0's frame
+    # starts. Each listener's CCA is read once, in node order, and compared
+    # with the read it made as it began to listen.
+    fleet = lane_zero([0.0, 100.0, 200.0, 300.0, 400.0])
+    sim = Simulation(small_engine_config(itsg5_fraction=1.0, shadowing=NO_SHADOW),
+                     seed=1, fleet=fleet)
+    listeners = [1, 2, 3, 4]
+    for i in listeners:
+        sim.macs[i].on_packet_ready(0, 0)
+    assert sim.listening == set(listeners)
+    reads, is_busy = [], sim.is_busy
+
+    def counted(node):
+        reads.append(node)
+        return is_busy(node)
+
+    sim.is_busy = counted
+    sim.start_tx(0, 0, 0)
+    assert reads == listeners
+    # The MACs the frame turned busy defer; the others still wait out AIFS.
+    busy = cca_vector(sim)
+    assert busy[1] and [sim.macs[i].phase for i in listeners] == [
+        Phase.DEFER if busy[i] else Phase.AIFS for i in listeners]
 
 
 def test_all_lte_run_reads_no_cca(monkeypatch):
@@ -710,14 +737,14 @@ def test_blind_rows_mark_exactly_the_ttis_of_each_nodes_sidelink_frames():
     # it; ITS-G5 nodes have no column. The run outlasts the window, so every
     # row has been rewritten.
     sim = Simulation(small_engine_config(itsg5_fraction=0.5, measure_s=1.0), seed=4)
-    sent, begin_tx = set(), sim._begin_tx
+    sent, start_tx = set(), sim.start_tx
 
     def spy(node, cam, t_us):
         if sim.is_lte[node]:
             sent.add((t_us // TTI_US, node))
-        begin_tx(node, cam, t_us)
+        start_tx(node, cam, t_us)
 
-    sim._begin_tx = spy
+    sim.start_tx = spy
     sim.run()
     h = sim.history
     ttis = np.arange(h.last_finalized_tti + 1 - h.window, h.last_finalized_tti + 1)
@@ -746,15 +773,15 @@ def test_interference_energy_counts_only_the_overlap():
     fleet = lane_zero([0.0, 200.0, 100.0])
     cfg = small_engine_config(itsg5_fraction=1.0, shadowing=NO_SHADOW)
     sim = Simulation(cfg, seed=1, fleet=fleet)
-    sim._begin_tx(0, 0, 0)
-    sim._begin_tx(1, 0, 256)
+    sim.start_tx(0, 0, 0)
+    sim.start_tx(1, 0, 256)
     first, second = sim.active[0], sim.active[1]
     sim._end_tx(first, 512)
     # Each 512 us frame overlapped the other for 256 us: fraction one half.
     assert first.interf_mw_us[2] == pytest.approx(second.rx_mw[2] * 256, rel=1e-12)
     assert second.interf_mw_us[2] == pytest.approx(first.rx_mw[2] * 256, rel=1e-12)
     # A frame starting at the instant another ends overlaps it for zero time.
-    sim._begin_tx(0, 0, 768)
+    sim.start_tx(0, 0, 768)
     third = sim.active[0]
     sim._end_tx(second, 768)
     assert not third.interf_mw_us.any()

@@ -182,6 +182,7 @@ def test_main_rejects_inconsistent_configs(tmp_path, capsys):
     ("max_distance_m = inf",
      "{path}:7: bad value for max_distance_m: expected a finite number, got 'inf'"),
     ("master_seed = -1", "master_seed must be >= 0"),
+    ("modes = standard, standard", "modes entry standard is repeated"),
     # Only +inf is a margin without a relevance floor.
     ("relevance_margin_db = nan", "relevance_margin_db must be a number or +inf"),
     ("relevance_margin_db = -inf", "relevance_margin_db must be a number or +inf"),

@@ -130,8 +130,9 @@ def test_channel_golden_values(rng):
 
 
 def test_repeat_execution_byte_identical(tmp_path):
+    # A serial sweep and one on a pool of up to two workers write the same bytes.
     outs = []
-    for sub in ("a", "b"):
+    for sub, jobs in (("a", 1), ("b", 2)):
         cfg = ExperimentConfig()
         cfg.engine.road = RoadConfig(length_m=300.0, density_veh_per_km=20.0)
         cfg.engine.warm_up_s = 0.2
@@ -139,6 +140,7 @@ def test_repeat_execution_byte_identical(tmp_path):
         cfg.mix_fractions = [1.0, 0.5]
         cfg.runs = 2
         cfg.out_dir = tmp_path / sub
+        cfg.jobs = jobs
         run_experiment(cfg, stdout=io.StringIO())
         outs.append(cfg.out_dir)
     names_a = sorted(p.name for p in outs[0].iterdir())
