@@ -14,7 +14,10 @@ end-to-end metric the benchmark judges (`tx_per_s`, `run_s`, `sweep_s`,
 `setup_s` and `peak_rss_mb`) per workload: median, inclusive quartiles, the
 pairs the change won and the per-pair change/parent ratios. Its `command`
 names both revisions as commits, so it reruns the same comparison whatever
-HEAD is by then.
+HEAD is by then. A run that fails stays in the record with its exit code and
+the tail of its stderr, its pair drops out of the summaries, and the record
+is still written; the script then exits 1, as it does when a run's digests
+do not all match.
 """
 
 from __future__ import annotations
@@ -58,12 +61,21 @@ def export(rev: str, dest: Path) -> dict:
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
+    """The run's final JSON line plus digests_match: it printed at least one
+    digest line, and every one says match. A run that fails or prints no
+    JSON line is kept as its exit code and the tail of its stderr."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
-    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = out.stdout.splitlines()
-    result = json.loads(lines[-1])
-    result["digests_match"] = all(line.endswith(" match") for line in lines
-                                  if f"{workload} digest " in line)
+    try:
+        result = json.loads(lines[-1]) if out.returncode == 0 else None
+    except (IndexError, json.JSONDecodeError):
+        result = None
+    if not isinstance(result, dict) or "metrics" not in result:
+        return {"returncode": out.returncode, "stderr_tail": out.stderr.splitlines()[-20:],
+                "correct": False, "digests_match": False}
+    digests = [line for line in lines if f"{workload} digest " in line]
+    result["digests_match"] = bool(digests) and all(line.endswith(" match") for line in digests)
     return result
 
 
@@ -75,9 +87,14 @@ def summary(values: list[float], digits: int) -> dict:
 
 
 def spread(runs: dict, metric: str, higher_better: bool, digits: int) -> dict:
-    parent = [r["metrics"][metric]["value"] for r in runs["parent"]]
-    change = [r["metrics"][metric]["value"] for r in runs["change"]]
-    wins = sum((c > p) if higher_better else (c < p) for p, c in zip(parent, change))
+    """The metric over the pairs in which both runs finished."""
+    both = [(p["metrics"][metric]["value"], c["metrics"][metric]["value"])
+            for p, c in zip(runs["parent"], runs["change"])
+            if "metrics" in p and "metrics" in c]
+    if len(both) < 2:
+        return {"pairs": len(both)}
+    parent, change = (list(side) for side in zip(*both))
+    wins = sum((c > p) if higher_better else (c < p) for p, c in both)
     return {
         "pairs": len(parent),
         "parent": summary(parent, digits),
@@ -143,13 +160,18 @@ def main(argv=None) -> int:
                 for side in order:
                     result = run_once(dirs[side], workload, args.seed)
                     runs[side].append(result)
-                    tx = result["metrics"]["tx_per_s"]["value"]
-                    print(f"{workload} pair {i} {side} {tx:.1f} tx/s", flush=True)
+                    if "metrics" in result:
+                        tx = result["metrics"]["tx_per_s"]["value"]
+                        print(f"{workload} pair {i} {side} {tx:.1f} tx/s", flush=True)
+                    else:
+                        print(f"{workload} pair {i} {side} failed with exit code "
+                              f"{result['returncode']}", flush=True)
             per_workload[workload] = runs
 
     every_run = [r for runs in per_workload.values() for side in ("parent", "change")
                  for r in runs[side]]
     clean = all(r["correct"] and r["failed"] == 0 and r["digests_match"] for r in every_run)
+    # A failed run has correct false, so `and` never reaches its missing "failed".
     record = {
         "what": "perfbench end-to-end results for a change against its parent, measured "
                 "in alternating pairs on one host. Each entry is the final JSON line of "
@@ -168,7 +190,9 @@ def main(argv=None) -> int:
             "the *_spread entries summarise them (quartiles are inclusive, iqr = q3 - q1; "
             "change_wins counts the pairs where the change was better).",
             "Every run printed match for every digest, with correct true and 0 failed."
-            if clean else "Some runs were not clean: see correct, failed and digests_match.",
+            if clean else "Some runs were not clean: see correct, failed and digests_match; "
+            "a run that failed keeps its returncode and stderr_tail, and its pair is left "
+            "out of the spreads.",
         ],
         "per_workload": per_workload,
     }

@@ -357,30 +357,31 @@ class Simulation:
         """Score the buffered frames at every relevant receiver in range.
 
         Pairs are taken in delivery order, so the one draw equals the draws
-        frame by frame.
+        frame by frame. A pair is its flat index frame * n + receiver.
         """
         if not self._unscored:
             return
         recs, halfdup = zip(*self._unscored)
         self._unscored = []
-        rx_mw = np.stack([r.rx_mw for r in recs])
-        dist = np.stack([r.dist_m for r in recs])
+        rx_mw = np.array([r.rx_mw for r in recs])
+        dist = np.array([r.dist_m for r in recs])
         mask = (rx_mw >= self.relevance_mw) & (dist < self.cfg.max_distance_m)
-        row, col = np.nonzero(mask)
-        lte = np.array([r.lte for r in recs])[row]
-        dur_us = np.array([r.end_us - r.start_us for r in recs])[row]
-        interf = np.stack([r.interf_mw_us for r in recs])[row, col]
-        sinr = sinr_db(rx_mw[row, col], interf, dur_us, self.noise_mw)
-        draws = self.rng["reception"].random(row.size)
-        halfdup = np.stack(halfdup)[row, col]
-        dist = dist[row, col]
+        flat = np.flatnonzero(mask)
+        frame = flat // self.n
+        lte = np.array([r.lte for r in recs])[frame]
+        dur_us = np.array([r.end_us - r.start_us for r in recs])[frame]
+        interf = np.array([r.interf_mw_us for r in recs]).take(flat)
+        sinr = sinr_db(rx_mw.take(flat), interf, dur_us, self.noise_mw)
+        draws = self.rng["reception"].random(flat.size)
+        halfdup = np.array(halfdup).take(flat)
+        dist = dist.take(flat)
         for tech in (False, True):
             if (sel := lte == tech).any():
                 per = self.curve[tech].lookup(sinr[sel])
                 success = reception_success(per, draws[sel]) & ~halfdup[sel]
                 self.hist.record_many(int(tech), dist[sel], success)
                 self.counters["rx_success"] += int(success.sum())
-        self.counters["rx_opportunities"] += int(row.size)
+        self.counters["rx_opportunities"] += int(flat.size)
         self.counters["rx_halfduplex"] += int(halfdup.sum())
 
     def _on_slot(self, node: int, t_us: int) -> None:

@@ -121,6 +121,13 @@ def _parse_optional_float(s: str) -> float | None:
     return _parse_float(s)
 
 
+def _parse_dir(s: str) -> Path:
+    # Path("") is the working directory, which no one means by an empty value.
+    if not s:
+        raise ValueError("expected a directory, got ''")
+    return Path(s)
+
+
 # key -> (target section, field name, parser); flat key = value file format.
 _KEYS = {
     "road_length_m": ("road", "length_m", _parse_float),
@@ -167,7 +174,7 @@ _KEYS = {
     "modes": ("experiment", "modes", _parse_modes),
     "runs": ("experiment", "runs", int),
     "master_seed": ("experiment", "master_seed", int),
-    "out_dir": ("experiment", "out_dir", Path),
+    "out_dir": ("experiment", "out_dir", _parse_dir),
     "jobs": ("experiment", "jobs", int),
 }
 

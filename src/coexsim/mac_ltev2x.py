@@ -40,68 +40,80 @@ class SpsConfig:
 
 
 class SensingHistory:
-    """Average RSSI (mW) per TTI over the trailing sensing window, one column
-    per LTE station (only they sense).
+    """Received energy (mW*us) per TTI over the trailing sensing window, one
+    column per LTE station (only they sense).
 
-    Rows are a ring buffer keyed by tti % window. Unwritten or not yet
-    finalized TTIs read back as the noise floor and non-blind, which doubles
-    as the cold-start prior. Blind rows mark TTIs the station spent
-    transmitting. The open TTI fills in from the frames on air as time
+    Rows are a ring buffer keyed by tti % window. The open TTI, the one after
+    the last finalized, fills its own row from the frames on air as time
     advances: their power at the stations (rx_lte_mw) is integrated over the
-    occupied symbols, and LTE senders set blind_now at their lte_col.
+    occupied symbols, and LTE senders set their lte_col blind. Finalizing a
+    TTI clears the next row for the TTI that opens. read_window() turns a
+    station's energies into average RSSI for selection.
     """
 
     def __init__(self, n_stations: int, noise_mw: float, window_ttis: int):
         self.window = window_ttis
         self.noise_mw = noise_mw
-        self.rssi_mw = np.full((window_ttis, n_stations), noise_mw)
+        self.energy_mw_us = np.zeros((window_ttis, n_stations))
         self.blind = np.zeros((window_ttis, n_stations), dtype=bool)
         self.last_finalized_tti = -1
-        self.blind_now = np.zeros(n_stations, dtype=bool)
-        self._acc_mw_us = np.zeros(n_stations)
         self._t_us = 0
+        # Copying a zero row clears one faster than filling it from a scalar.
+        self._zero_energy = np.zeros(n_stations)
+        self._zero_blind = np.zeros(n_stations, dtype=bool)
 
     def advance(self, t_us: int, frames) -> None:
         """Integrate the frames on air since the last call up to t_us, their
-        power summed in start order from zero as CCA sums it, mark their LTE
-        senders blind, and finalize every TTI that has ended by then."""
+        power summed in start order as CCA sums it, mark their LTE senders
+        blind, and finalize every TTI that has ended by then."""
         if t_us <= self._t_us:
             return
-        power_mw = 0.0  # a float while nothing is on air
+        power_mw = None  # nothing on air
+        row = (self.last_finalized_tti + 1) % self.window
         for rec in frames:
-            power_mw = power_mw + rec.rx_lte_mw
+            power_mw = rec.rx_lte_mw if power_mw is None else power_mw + rec.rx_lte_mw
             if rec.lte:
-                self.blind_now[rec.lte_col] = True
+                self.blind[row, rec.lte_col] = True
         while True:
             tti = self.last_finalized_tti + 1
             start = tti * TTI_US
             hi = min(t_us, start + OCCUPIED_US)
-            if hi > self._t_us:
-                self._acc_mw_us += power_mw * (hi - self._t_us)
+            if power_mw is not None and hi > self._t_us:
+                self.energy_mw_us[tti % self.window] += power_mw * (hi - self._t_us)
             if t_us < start + TTI_US:
                 break
-            self.finalize(tti, self._acc_mw_us / OCCUPIED_US + self.noise_mw, self.blind_now)
-            self._acc_mw_us.fill(0.0)
-            self.blind_now.fill(False)
+            self.finalize(tti)
             self._t_us = start + TTI_US
         self._t_us = t_us
 
-    def finalize(self, tti: int, avg_mw: np.ndarray, blind: np.ndarray) -> None:
-        row = tti % self.window
-        self.rssi_mw[row] = avg_mw
-        self.blind[row] = blind
+    def finalize(self, tti: int) -> None:
+        """Close TTI tti and clear the row of the TTI that opens."""
+        row = (tti + 1) % self.window
+        self.energy_mw_us[row] = self._zero_energy
+        self.blind[row] = self._zero_blind
         self.last_finalized_tti = tti
 
-    def lag_views(self, candidates: np.ndarray, station: int,
-                  n_lags: int, lag_step: int) -> tuple[np.ndarray, np.ndarray]:
-        """RSSI values and blind flags at candidate - k*lag_step for k=1..n_lags."""
-        lags = lag_step * np.arange(1, n_lags + 1)
-        ttis = candidates[:, None] - lags[None, :]
-        valid = (ttis >= 0) & (ttis <= self.last_finalized_tti)
-        rows = ttis % self.window
-        vals = np.where(valid, self.rssi_mw[rows, station], self.noise_mw)
-        blind = np.where(valid, self.blind[rows, station], False)
-        return vals, blind
+    def read_window(self, station: int, now_tti: int) -> tuple[np.ndarray, np.ndarray]:
+        """Average RSSI (mW) and blind flags of one station over the window
+        of TTIs ending at now_tti, oldest first: index i holds TTI
+        now_tti + 1 - window + i. A TTI before 0 or not yet finalized reads as
+        the noise floor and heard, which doubles as the cold-start prior.
+        """
+        split = (now_tti + 1) % self.window
+        energy, blind = self.energy_mw_us[:, station], self.blind[:, station]
+        rssi = np.concatenate((energy[split:], energy[:split]))
+        blind = np.concatenate((blind[split:], blind[:split]))
+        rssi /= OCCUPIED_US
+        rssi += self.noise_mw
+        first = now_tti + 1 - self.window
+        # [:before] are the TTIs before 0 and [after:] the unfinalized ones.
+        before = min(max(-first, 0), self.window)
+        after = max(self.last_finalized_tti + 1 - first, before)
+        rssi[:before] = self.noise_mw
+        rssi[after:] = self.noise_mw
+        blind[:before] = False
+        blind[after:] = False
+        return rssi, blind
 
 
 class SpsScheduler:
@@ -157,27 +169,31 @@ class SpsScheduler:
         """
         cfg = self.cfg
         period = self.period
-        candidates = np.arange(now_tti + 1, now_tti + 1 + period)
-        vals, blind = self.history.lag_views(
-            candidates, station, cfg.sensing_window_ttis // period, period)
-        any_blind = blind.any(axis=1)
-        fully_blind = blind.all(axis=1)
-        n_heard = np.maximum((~blind).sum(axis=1), 1)
-        scores = np.where(blind, 0.0, vals).sum(axis=1) / n_heard
+        n_lags = cfg.sensing_window_ttis // period
+        # Candidate j is TTI now_tti + 1 + j. The window is whole periods, so
+        # its lag k is window index (n_lags - k) * period + j, in row
+        # n_lags - k of the window as an [n_lags, period] array.
+        rssi, blind = self.history.read_window(station, now_tti)
+        # [candidate, lag] and C-contiguous: each row sums its lags k = 1, 2, ...
+        heard = np.where(blind, 0.0, rssi).reshape(n_lags, period)[::-1].T.copy()
+        n_blind = blind.reshape(n_lags, period).sum(axis=0)
+        scores = heard.sum(axis=1) / np.maximum(n_lags - n_blind, 1)
 
-        reserved = self.reserved_offset_mask(station, now_tti)[candidates % period]
-        keep = ~any_blind & ~reserved
+        # The offsets of the candidates are the period's, rolled to start at
+        # that of candidate 0.
+        split = (now_tti + 1) % period
+        mask = self.reserved_offset_mask(station, now_tti)
+        keep = (n_blind == 0) & ~np.concatenate((mask[split:], mask[:split]))
         if not keep.any():
-            keep = ~fully_blind
+            keep = n_blind < n_lags
         if not keep.any():
-            keep = np.ones_like(fully_blind)
+            keep = np.ones(period, dtype=bool)
 
-        pool = candidates[keep]
-        pool_scores = scores[keep]
+        pool = np.flatnonzero(keep)
         perm = self.rng.permutation(pool.size)
-        order = np.argsort(pool_scores[perm], kind="stable")
+        order = np.argsort(scores[pool][perm], kind="stable")
         best_n = min(max(1, round(cfg.best_fraction * period)), pool.size)
-        chosen = int(pool[perm[order[self.rng.integers(best_n)]]])
+        chosen = now_tti + 1 + int(pool[perm[order[self.rng.integers(best_n)]]])
         self.offset[station] = chosen % period
         return chosen
 

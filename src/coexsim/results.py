@@ -37,11 +37,16 @@ class PrrHistogram:
                     successes: np.ndarray) -> None:
         if (distances_m < 0).any():
             raise ValueError("distance must be >= 0")
+        n = self.n_bins
         bins = (distances_m // self.bin_width_m).astype(np.int64)
-        ok = bins < self.n_bins
-        bins = bins[ok]
-        self.opportunities[tech_index] += np.bincount(bins, minlength=self.n_bins)
-        self.successes[tech_index] += np.bincount(bins[successes[ok]], minlength=self.n_bins)
+        # One count per (bin, success) at 2 * bin + success; every bin at or
+        # beyond max_distance_m folds into bin n, which is cut off.
+        np.minimum(bins, n, out=bins)
+        bins *= 2
+        bins += successes
+        counts = np.bincount(bins, minlength=2 * n + 2)[:2 * n].reshape(n, 2)
+        self.opportunities[tech_index] += counts[:, 0] + counts[:, 1]
+        self.successes[tech_index] += counts[:, 1]
 
     def merge(self, other: "PrrHistogram") -> None:
         if (other.bin_width_m != self.bin_width_m

@@ -178,8 +178,9 @@ def reference_selection(history, sched, station: int,
 
     Restates the sensing-based selection (3GPP TS 36.213 14.1.1.6) from the
     history rows and the decoded-reservation table, one candidate at a time.
-    Each candidate TTI of the next period is scored by the mean RSSI of its
-    period-spaced lags that the station heard; a lag before TTI 0 or not yet
+    A row's RSSI is its energy over the occupied symbols plus the noise
+    floor. Each candidate TTI of the next period is scored by the mean RSSI
+    of its period-spaced lags that the station heard; a lag before TTI 0 or not yet
     finalized reads as the noise floor and heard. The pool excludes
     candidates with any blind lag or a live reserved offset; if that empties
     it, the pool is every candidate not blind on all lags, and failing that
@@ -203,7 +204,8 @@ def reference_selection(history, sched, station: int,
                 if history.blind[row, station]:
                     blind_lags += 1
                     continue
-                heard.append(float(history.rssi_mw[row, station]))
+                energy = float(history.energy_mw_us[row, station])
+                heard.append(energy / OCCUPIED_US + history.noise_mw)
             else:
                 heard.append(history.noise_mw)
         scores[tti] = sum(heard) / max(len(heard), 1)
@@ -345,6 +347,12 @@ class TxLog:
     it records, so that TTI modulo the period is the frame's offset; and
     every generated CAM is sent once, dropped or still pending, as the
     counters say.
+
+    At every SPS selection it also restates the window the scheduler reads
+    (read_window) from the logged frames: TTI t of a station senses
+    sum(rx * |frame & [t * 1000, t * 1000 + 929)|) / 929 plus the noise
+    floor, is blind where the station sent a frame in it, and reads as the
+    noise floor and heard before TTI 0 or from the selection's own TTI on.
     """
 
     def __init__(self, sim: Simulation):
@@ -354,6 +362,7 @@ class TxLog:
         self.decodes = []  # (node, now_tti) of every note_decode call
         self.batches = []  # per _score call: [(engine TxRec, halfdup), ...]
         self.recorded = []  # per record_many call: (batch index, lte, distances, successes)
+        self.reads = []  # per SPS selection: [station, now_tti, its read_window() or None]
         self._starts = []  # near_in_time's index, rebuilt when frames are added
         g5_us = airtime_us(sim.cfg.traffic.payload_bytes, sim.cfg.csma)
         start_tx, score, record_many = sim.start_tx, sim._score, sim.hist.record_many
@@ -391,6 +400,18 @@ class TxLog:
                 note_decode(tx, receivers, now_tti)
 
             sim.sps.note_decode = decode_spy
+            select, read_window = sim.sps.select_resource, sim.history.read_window
+
+            def select_spy(station, now_tti):
+                self.reads.append([station, now_tti, None])
+                return select(station, now_tti)
+
+            def read_spy(station, now_tti):
+                rssi, blind = read_window(station, now_tti)
+                self.reads[-1][2] = (station, now_tti, rssi.tolist(), blind.tolist())
+                return rssi, blind
+
+            sim.sps.select_resource, sim.history.read_window = select_spy, read_spy
 
     def near_in_time(self, f: dict) -> list[dict]:
         """The logged frames that start less than the longest airtime before f
@@ -421,6 +442,44 @@ class TxLog:
                             bin=math.floor(f["dist_m"][j] / cfg.bin_width_m),
                             energy_mw_us=energy))
         return out
+
+    def sensed_window(self, station: int, now_tti: int) -> tuple[list[float], list[bool]]:
+        """The replayed (rssi_mw, blind) of an LTE station over the sensing
+        window of a selection at now_tti, oldest TTI first."""
+        sim = self.sim
+        node = sim.lte_ids.tolist()[station]
+        energy, sent = {}, set()  # TTI -> mW*us at node; TTIs node sent in
+        for f in self.frames.values():
+            first_tti = f["start_us"] // TTI_US
+            if f["tx"] == node and f["lte"]:
+                sent.add(first_tti)
+            for tti in range(first_tti, (f["end_us"] - 1) // TTI_US + 1):
+                w = (min(f["end_us"], tti * TTI_US + OCCUPIED_US)
+                     - max(f["start_us"], tti * TTI_US))
+                if w > 0:
+                    energy[tti] = energy.get(tti, 0.0) + f["rx_mw"][node] * w
+        rssi, blind = [], []
+        for tti in range(now_tti + 1 - sim.history.window, now_tti + 1):
+            ended = 0 <= tti < now_tti
+            rssi.append(energy.get(tti, 0.0) / OCCUPIED_US + sim.noise_mw if ended
+                        else sim.noise_mw)
+            blind.append(ended and tti in sent)
+        return rssi, blind
+
+    def window_problems(self) -> list[str]:
+        """Every SPS selection whose sensing window differs from the replay's."""
+        problems = []
+        for station, now_tti, read in self.reads:
+            if read is None or read[:2] != (station, now_tti):
+                problems.append(f"station {station}'s selection at TTI {now_tti} did not "
+                                f"read its own window")
+                continue
+            rssi, blind = self.sensed_window(station, now_tti)
+            if read[3] != blind or not all(math.isclose(got, want, rel_tol=1e-12)
+                                           for got, want in zip(read[2], rssi)):
+                problems.append(f"station {station}'s window at TTI {now_tti} differs "
+                                f"from the replay")
+        return problems
 
     def frame_problems(self) -> list[str]:
         """Every break of the MAC rules in the logged frames and CAMs; [] when none."""
@@ -463,8 +522,8 @@ class TxLog:
 
     def mismatches(self) -> list[str]:
         """Every disagreement between the replay and the engine, and every
-        frame_problems() entry; [] when none."""
-        sim, problems = self.sim, self.frame_problems()
+        frame_problems() and window_problems() entry; [] when none."""
+        sim, problems = self.sim, self.frame_problems() + self.window_problems()
         scored = [rec for batch in self.batches for rec, _ in batch]
         expected = sorted((f["tx"], f["start_us"]) for f in self.frames.values()
                           if f["t_gen_us"] >= sim.warmup_us and f["end_us"] <= sim.end_us)

@@ -403,7 +403,7 @@ def test_geometry_refresh_holds_few_matrices_and_sps_state_has_lte_width():
     assert peak < 4 * n * n * 8
     # Only LTE stations sense or reserve, so their state has one column each.
     h, sps = sim.history, sim.sps
-    assert h.rssi_mw.shape == h.blind.shape == (cfg.sps.sensing_window_ttis, m)
+    assert h.energy_mw_us.shape == h.blind.shape == (cfg.sps.sensing_window_ttis, m)
     assert sps.resv_tti.shape == (m, m)
     assert sps.offset.shape == sps.counter.shape == (m,)
 
@@ -702,14 +702,18 @@ def test_sensed_rssi_averages_burst_over_occupied_symbols():
     checked = 0
     col = sim.lte_col[1]  # the receiver's column in the sensing history
     assert col == 0
+    # The window a selection would read in the open TTI: the closed TTIs
+    # still in the ring, oldest first.
+    now_tti = sim.history.last_finalized_tti + 1
+    first = now_tti + 1 - sim.history.window
+    rssi, blind = sim.history.read_window(col, now_tti)
     for t, node in starts:
         tti, off = divmod(t, TTI_US)
-        if off + 512 > OCCUPIED_US or tti > sim.history.last_finalized_tti:
+        if off + 512 > OCCUPIED_US or not first <= tti < now_tti:
             continue
-        row = tti % sim.history.window
-        if sim.history.blind[row, col]:
+        if blind[tti - first]:
             continue  # receiver transmitted itself in this TTI
-        got = sim.history.rssi_mw[row, col]
+        got = rssi[tti - first]
         assert 10 * np.log10(got) == pytest.approx(
             10 * np.log10(expected), abs=0.05)
         checked += 1
@@ -735,7 +739,7 @@ def test_selection_sees_every_ended_tti_and_no_open_one():
 def test_blind_rows_mark_exactly_the_ttis_of_each_nodes_sidelink_frames():
     # An LTE station is blind in a TTI exactly when it sent an LTE frame in
     # it; ITS-G5 nodes have no column. The run outlasts the window, so every
-    # row has been rewritten.
+    # row has been rewritten; the ring keeps all but one row for closed TTIs.
     sim = Simulation(small_engine_config(itsg5_fraction=0.5, measure_s=1.0), seed=4)
     sent, start_tx = set(), sim.start_tx
 
@@ -747,7 +751,7 @@ def test_blind_rows_mark_exactly_the_ttis_of_each_nodes_sidelink_frames():
     sim.start_tx = spy
     sim.run()
     h = sim.history
-    ttis = np.arange(h.last_finalized_tti + 1 - h.window, h.last_finalized_tti + 1)
+    ttis = np.arange(h.last_finalized_tti + 2 - h.window, h.last_finalized_tti + 1)
     assert ttis[0] > 0
     expected = np.array([[(tti, j) in sent for j in sim.lte_ids.tolist()]
                          for tti in ttis.tolist()])
@@ -762,8 +766,11 @@ def test_noise_only_ttis_sense_the_noise_floor():
     sim = Simulation(cfg, seed=3, fleet=fleet)
     sim.run()
     h = sim.history
-    quiet = ~h.blind[: h.last_finalized_tti + 1, 0]
-    vals = h.rssi_mw[: h.last_finalized_tti + 1, 0][quiet]
+    last = h.last_finalized_tti
+    rssi, blind = h.read_window(0, last + 1)
+    # Index i holds TTI last + 2 - window + i: keep the closed TTIs from 0 on.
+    closed = slice(max(h.window - 2 - last, 0), -1)
+    vals = rssi[closed][~blind[closed]]
     # Most TTIs carry no transmission at all: the minimum is the pure floor.
     assert vals.min() == pytest.approx(sim.noise_mw, rel=1e-9)
     assert 10 * np.log10(vals.min()) == pytest.approx(-98.0, abs=1e-6)

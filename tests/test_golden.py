@@ -91,12 +91,14 @@ def test_every_scored_reception_matches_an_independent_replay(overrides, digest)
     # The 50/50 pinned run, its branch with sidelink decoding blind to ITS-G5
     # energy, and a range shorter than the road, so that the distance cut
     # drops receivers: every scored pair's receiver set, half-duplex flag,
-    # bin and interference energy agree with TxLog's plain-Python replay, and
-    # its frame log keeps the MAC rules (no self-overlap, LTE frames on their
-    # SPS offset, every CAM sent, dropped or pending).
+    # bin and interference energy agree with TxLog's plain-Python replay,
+    # every SPS selection reads the sensing window the replay restates from
+    # the frames, and the frame log keeps the MAC rules (no self-overlap, LTE
+    # frames on their SPS offset, every CAM sent, dropped or pending).
     sim = eng.Simulation(small_engine_config(itsg5_fraction=0.5, **overrides), seed=SEED)
     log = TxLog(sim)
     run_digest = sim.run().digest()
     assert digest is None or run_digest == digest
     assert log.mismatches() == []
     assert sim.counters["rx_halfduplex"] > 0 and sim.counters["rx_opportunities"] > 0
+    assert len(log.reads) > sim.lte_ids.size and any(any(r[2][3]) for r in log.reads)

@@ -430,6 +430,18 @@ def test_main_rejects_bad_cli_values(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_main_rejects_an_empty_output_directory(tmp_path, monkeypatch, capsys):
+    # An empty out_dir would otherwise write the results into the working directory.
+    monkeypatch.chdir(tmp_path)
+    cfg_path = write_config(tmp_path, FAST_CONFIG + "out_dir =\n")
+    assert main(["--config", str(cfg_path), "--mix", "1.0", "--mode", "standard"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"{cfg_path}:7: bad value for out_dir: expected a directory, got ''"]
+    assert main(["--config", str(write_config(tmp_path, FAST_CONFIG)), "--out", ""]) == 1
+    assert capsys.readouterr().err.splitlines() == ["--out: expected a directory, got ''"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [cfg_path.name]
+
+
 def _value(*choices) -> st.SearchStrategy[str]:
     """A key's value text, drawn from strategies and from listed values."""
     return st.one_of(*(c if isinstance(c, st.SearchStrategy) else st.just(c)

@@ -28,7 +28,7 @@ def make_scheduler(rng=None, cfg=None, history=None) -> SpsScheduler:
     """A scheduler over the LTE stations (columns) of `history`, on the
     100-TTI period; the tests select for station 0."""
     history = history or flat_history()
-    return SpsScheduler(history.blind_now.size, 100, cfg or SpsConfig(), history,
+    return SpsScheduler(history.blind.shape[1], 100, cfg or SpsConfig(), history,
                         rng if rng is not None else np.random.default_rng(42))
 
 
@@ -97,24 +97,48 @@ def test_sps_config_validation():
     assert SpsConfig(reservation_expiry_ttis=1).validate() == []
 
 
+def close_tti(h, tti, rssi_mw=NOISE_MW, blind=False, energy_mw_us=None):
+    """Give station 0 of h its sensed energy and blind flag in the open TTI,
+    tti, and finalize it: the energy is energy_mw_us, or else the energy
+    that averages to rssi_mw over the occupied symbols."""
+    assert tti == h.last_finalized_tti + 1
+    if energy_mw_us is None:
+        energy_mw_us = (rssi_mw - h.noise_mw) * OCCUPIED_US
+    h.energy_mw_us[tti % h.window, 0] = energy_mw_us
+    h.blind[tti % h.window, 0] = blind
+    h.finalize(tti)
+
+
 def test_sensing_history_stores_per_tti_rows():
     h = SensingHistory(1, NOISE_MW, WINDOW_TTIS)
     for t in range(1501):
-        h.finalize(t, np.array([float(t)]), np.array([t % 100 == 7]))
-    vals, blind = h.lag_views(np.array([1500]), 0, n_lags=3, lag_step=100)
-    assert vals.tolist() == [[1400.0, 1300.0, 1200.0]]
-    assert not blind.any()
-    vals, blind = h.lag_views(np.array([1507]), 0, n_lags=2, lag_step=100)
-    assert blind.all()
+        close_tti(h, t, blind=t % 100 == 7, energy_mw_us=float(t))
+    rssi, blind = h.read_window(0, 1501)
+    # Index i holds TTI 502 + i; the last, TTI 1501, is still open.
+    assert rssi.shape == blind.shape == (WINDOW_TTIS,)
+    assert rssi[:-1].tolist() == [t / OCCUPIED_US + NOISE_MW for t in range(502, 1501)]
+    assert blind[:-1].tolist() == [t % 100 == 7 for t in range(502, 1501)]
+    assert rssi[-1] == NOISE_MW and not blind[-1]
 
 
 def test_sensing_history_fallback_outside_window():
     h = SensingHistory(1, NOISE_MW, WINDOW_TTIS)
-    h.finalize(0, np.array([1e-3]), np.array([True]))
-    # Lag before time zero and lag beyond the last finalized TTI.
-    vals, blind = h.lag_views(np.array([50, 300]), 0, n_lags=1, lag_step=100)
-    assert vals[0, 0] == NOISE_MW and not blind[0, 0]
-    assert vals[1, 0] == NOISE_MW and not blind[1, 0]
+    close_tti(h, 0, blind=True, energy_mw_us=1.0)
+    # TTIs before time zero and beyond the last finalized one read as noise, heard.
+    rssi, blind = h.read_window(0, 1)
+    assert rssi.tolist() == [NOISE_MW] * 998 + [1.0 / OCCUPIED_US + NOISE_MW, NOISE_MW]
+    assert blind.tolist() == [False] * 998 + [True, False]
+    rssi, blind = h.read_window(0, 1300)
+    assert (rssi == NOISE_MW).all() and not blind.any()
+
+
+def test_finalize_clears_the_row_of_the_opening_tti():
+    h = SensingHistory(1, NOISE_MW, WINDOW_TTIS)
+    for t in range(WINDOW_TTIS):
+        close_tti(h, t, blind=True, energy_mw_us=1.0)
+    # TTI 1000 opened on TTI 0's row: it starts with no energy and heard.
+    assert h.energy_mw_us[0, 0] == 0.0 and not h.blind[0, 0]
+    assert (h.energy_mw_us[1:, 0] == 1.0).all() and h.blind[1:, 0].all()
 
 
 def test_select_resource_window_and_bookkeeping():
@@ -132,9 +156,8 @@ def test_select_resource_window_and_bookkeeping():
 def test_high_rssi_candidate_is_never_picked():
     h = SensingHistory(1, NOISE_MW, WINDOW_TTIS)
     hot = 10 ** (-60.0 / 10.0)
-    for t in range(1000):
-        val = hot if t % 100 == 37 else NOISE_MW
-        h.finalize(t, np.array([val]), np.array([False]))
+    for t in range(999):  # TTI 999 is open, as at a selection in a run
+        close_tti(h, t, hot if t % 100 == 37 else NOISE_MW)
     for trial in range(100):
         sched = make_scheduler(rng=np.random.default_rng(trial), history=h)
         pool, threshold = reference_selection(h, sched, 0, 999)
@@ -147,8 +170,8 @@ def test_picks_stay_in_the_reference_best_fifth():
     # Offset k senses k + 1 times the noise floor: every candidate scores
     # differently, so the best fifth is offsets 0-19 and nothing else.
     h = SensingHistory(1, NOISE_MW, WINDOW_TTIS)
-    for t in range(1000):
-        h.finalize(t, np.array([NOISE_MW * (t % 100 + 1)]), np.array([False]))
+    for t in range(999):  # TTI 999 is open, as at a selection in a run
+        close_tti(h, t, NOISE_MW * (t % 100 + 1))
     sched = make_scheduler(history=h)
     pool, threshold = reference_selection(h, sched, 0, 999)
     best = {t for t, score in pool.items() if score <= threshold}
@@ -158,8 +181,8 @@ def test_picks_stay_in_the_reference_best_fifth():
 
 def test_blind_candidate_is_excluded_from_pool():
     h = SensingHistory(1, NOISE_MW, WINDOW_TTIS)
-    for t in range(1000):
-        h.finalize(t, np.array([NOISE_MW]), np.array([t % 100 == 37]))
+    for t in range(999):  # TTI 999 is open, as at a selection in a run
+        close_tti(h, t, blind=t % 100 == 37)
     sched = make_scheduler(cfg=SpsConfig(best_fraction=1.0), history=h)
     pool, _ = reference_selection(h, sched, 0, 999)
     assert len(pool) == 99 and 1037 not in pool
