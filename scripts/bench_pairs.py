@@ -170,8 +170,8 @@ def main(argv=None) -> int:
 
     every_run = [r for runs in per_workload.values() for side in ("parent", "change")
                  for r in runs[side]]
-    clean = all(r["correct"] and r["failed"] == 0 and r["digests_match"] for r in every_run)
     # A failed run has correct false, so `and` never reaches its missing "failed".
+    clean = all(r["correct"] and r["failed"] == 0 and r["digests_match"] for r in every_run)
     record = {
         "what": "perfbench end-to-end results for a change against its parent, measured "
                 "in alternating pairs on one host. Each entry is the final JSON line of "

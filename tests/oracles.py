@@ -180,8 +180,8 @@ def reference_selection(history, sched, station: int,
     history rows and the decoded-reservation table, one candidate at a time.
     A row's RSSI is its energy over the occupied symbols plus the noise
     floor. Each candidate TTI of the next period is scored by the mean RSSI
-    of its period-spaced lags that the station heard; a lag before TTI 0 or not yet
-    finalized reads as the noise floor and heard. The pool excludes
+    of its period-spaced lags that the station heard; a lag before TTI 0 or
+    not yet finalized reads as the noise floor and heard. The pool excludes
     candidates with any blind lag or a live reserved offset; if that empties
     it, the pool is every candidate not blind on all lags, and failing that
     every candidate. Returns ({tti: score} over the pool, the best_n-th

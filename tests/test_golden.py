@@ -101,4 +101,6 @@ def test_every_scored_reception_matches_an_independent_replay(overrides, digest)
     assert digest is None or run_digest == digest
     assert log.mismatches() == []
     assert sim.counters["rx_halfduplex"] > 0 and sim.counters["rx_opportunities"] > 0
-    assert len(log.reads) > sim.lte_ids.size and any(any(r[2][3]) for r in log.reads)
+    # Stations reselect during the run, and some windows hold blind TTIs.
+    assert len(log.reads) > sim.lte_ids.size
+    assert any(any(blind) for _, _, (_, _, _, blind) in log.reads)
