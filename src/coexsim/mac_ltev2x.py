@@ -107,7 +107,7 @@ class SensingHistory:
         rssi += self.noise_mw
         first = now_tti + 1 - self.window
         # [:before] are the TTIs before 0 and [after:] the unfinalized ones.
-        before = min(max(-first, 0), self.window)
+        before = max(-first, 0)
         after = max(self.last_finalized_tti + 1 - first, before)
         rssi[:before] = self.noise_mw
         rssi[after:] = self.noise_mw
