@@ -215,7 +215,9 @@ class Simulation:
                                      config.shadowing.decorr_m, self.rng["shadowing"])
         self._rebuild_geometry()
 
-        self.active: dict[int, TxRec] = {}  # in start order
+        # In start order; never rebound, since the sensing history keeps a
+        # live view of its values.
+        self.active: dict[int, TxRec] = {}
         self.tx_end_us = np.zeros(n, dtype=np.int64)  # end of each node's latest frame
         # The nodes whose CsmaMac is in AIFS, COUNT or DEFER, kept by the MACs.
         self.listening: set[int] = set()
@@ -228,7 +230,8 @@ class Simulation:
         self.history: SensingHistory | None = None
         self.sps: SpsScheduler | None = None
         if m:
-            self.history = SensingHistory(m, self.noise_mw, config.sps.sensing_window_ttis)
+            self.history = SensingHistory(m, self.noise_mw, config.sps.sensing_window_ttis,
+                                          self.active.values())
             period_ttis = round(config.traffic.base_period_ms * 1000) // TTI_US
             self.sps = SpsScheduler(m, period_ttis, config.sps, self.history, self.rng["sps"])
         self.sources = CamSource(self.is_lte, config.traffic, self.rng["traffic"])
@@ -281,7 +284,7 @@ class Simulation:
         rec = TxRec(node, lte, self.lte_col.item(node), cam, now_us, now_us + dur,
                     rx, rx[self.lte_ids], self.dist[node].copy(), np.zeros(self.n))
         if self.history is not None:
-            self.history.advance(now_us, self.active.values())
+            self.history.advance(now_us)
         self.active[node] = rec
         self.tx_end_us[node] = rec.end_us
         self._dispatch_cca(now_us)
@@ -321,7 +324,7 @@ class Simulation:
 
     def _end_tx(self, rec: TxRec, t_us: int) -> None:
         if self.history is not None:
-            self.history.advance(t_us, self.active.values())
+            self.history.advance(t_us)
         del self.active[rec.tx]
         count_at_lte = self.cfg.lte_rx_counts_itsg5_interference
         for other in self.active.values():
@@ -396,9 +399,6 @@ class Simulation:
         if mac is not None:
             mac.on_packet_ready(t_us, t_us)
             return
-        # Selection reads only the TTIs that have ended; integrating into the
-        # open TTI here would split its segments and change their float sum.
-        self.history.advance(t_us - t_us % TTI_US, self.active.values())
         # The slot lies within one period, at or before the node's next CAM
         # (EV_SLOT sorts first), so a node holds at most one pending CAM.
         tx_tti = self.sps.on_generation(self.lte_col.item(node), t_us // TTI_US)

@@ -6,7 +6,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -291,6 +290,8 @@ def run_experiment(cfg: ExperimentConfig, stdout=None) -> dict:
              else os.cpu_count() or 1)  # macOS and Windows have no affinity call
     workers = min(cfg.jobs, len(tasks), cores)
     if workers > 1:
+        # Imported here, so that a single run loads no multiprocessing machinery.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             logs = list(pool.map(_execute_run, tasks))
     else:

@@ -49,11 +49,15 @@ class SensingHistory:
     occupied symbols, and LTE senders set their lte_col blind. Finalizing a
     TTI clears the next row for the TTI that opens. read_window() turns a
     station's energies into average RSSI for selection.
+
+    frames is a live view of the frames on air in start order, which the
+    owner keeps; the history only reads it.
     """
 
-    def __init__(self, n_stations: int, noise_mw: float, window_ttis: int):
+    def __init__(self, n_stations: int, noise_mw: float, window_ttis: int, frames=()):
         self.window = window_ttis
         self.noise_mw = noise_mw
+        self.frames = frames
         self.energy_mw_us = np.zeros((window_ttis, n_stations))
         self.blind = np.zeros((window_ttis, n_stations), dtype=bool)
         self.last_finalized_tti = -1
@@ -62,7 +66,7 @@ class SensingHistory:
         self._zero_energy = np.zeros(n_stations)
         self._zero_blind = np.zeros(n_stations, dtype=bool)
 
-    def advance(self, t_us: int, frames) -> None:
+    def advance(self, t_us: int) -> None:
         """Integrate the frames on air since the last call up to t_us, their
         power summed in start order as CCA sums it, mark their LTE senders
         blind, and finalize every TTI that has ended by then."""
@@ -70,10 +74,19 @@ class SensingHistory:
             return
         power_mw = None  # nothing on air
         row = (self.last_finalized_tti + 1) % self.window
-        for rec in frames:
+        for rec in self.frames:
             power_mw = rec.rx_lte_mw if power_mw is None else power_mw + rec.rx_lte_mw
             if rec.lte:
                 self.blind[row, rec.lte_col] = True
+        ended = t_us // TTI_US - 1  # the last TTI that has ended by t_us
+        if power_mw is None and ended > self.last_finalized_tti + 1:
+            # Nothing on air: the TTIs before the last ended one close as they
+            # are, each clearing the row of the TTI that opens after it.
+            opened = np.arange(max(self.last_finalized_tti + 2, ended + 1 - self.window),
+                               ended + 1) % self.window
+            self.energy_mw_us[opened] = 0.0
+            self.blind[opened] = False
+            self.last_finalized_tti = ended - 1
         while True:
             tti = self.last_finalized_tti + 1
             start = tti * TTI_US
@@ -199,17 +212,19 @@ class SpsScheduler:
 
     def on_generation(self, station: int, now_tti: int) -> int:
         """Advance the station's SPS counter at a CAM generation; returns the
-        TTI that will carry this packet."""
-        if self.offset[station] < 0:
-            tx_tti = self.select_resource(station, now_tti)
-        else:
+        TTI that will carry this packet. Only a selection closes the sensing
+        history, to the TTI before now_tti."""
+        if self.offset[station] >= 0:
             self.counter[station] -= 1
             if self.counter[station] > 0:
                 return self._next_occurrence(station, now_tti)
             if self.rng.random() < self.cfg.keep_probability:
-                tx_tti = self._next_occurrence(station, now_tti)
-            else:
-                tx_tti = self.select_resource(station, now_tti)
+                self.counter[station] = self._draw_counter()
+                return self._next_occurrence(station, now_tti)
+        # Selection reads only the TTIs that have ended; integrating into the
+        # open TTI here would split its segments and change their float sum.
+        self.history.advance(now_tti * TTI_US)
+        tx_tti = self.select_resource(station, now_tti)
         self.counter[station] = self._draw_counter()
         return tx_tti
 

@@ -736,6 +736,31 @@ def test_selection_sees_every_ended_tti_and_no_open_one():
     assert all(last == now_tti - 1 for now_tti, last in seen)
 
 
+def test_a_cam_that_keeps_its_reservation_leaves_the_history_open():
+    # Only a selection needs the history closed at a CAM; every other CAM
+    # leaves it to the next frame start or end.
+    sim = Simulation(small_engine_config(itsg5_fraction=0.0), seed=4)
+    on_cam, select = sim._on_cam, sim.sps.select_resource
+    selections, kept = [], []
+
+    def select_spy(station, now_tti):
+        selections.append(now_tti)
+        return select(station, now_tti)
+
+    def cam_spy(node, t_us):
+        before, n = sim.history.last_finalized_tti, len(selections)
+        on_cam(node, t_us)
+        if len(selections) == n:
+            kept.append((t_us // TTI_US - 1, before, sim.history.last_finalized_tti))
+
+    sim.sps.select_resource, sim._on_cam = select_spy, cam_spy
+    sim.run()
+    assert selections and kept
+    assert all(after == before for _, before, after in kept)
+    # Most of them fall in a TTI after the last closed one.
+    assert sum(before < closable for closable, before, _ in kept) > len(kept) // 2
+
+
 def test_blind_rows_mark_exactly_the_ttis_of_each_nodes_sidelink_frames():
     # An LTE station is blind in a TTI exactly when it sent an LTE frame in
     # it; ITS-G5 nodes have no column. The run outlasts the window, so every

@@ -1,7 +1,11 @@
 """Experiment harness: config file parsing, CLI overrides, seeding, CSV runs."""
 
+import concurrent.futures
 import io
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 from unittest import mock
@@ -287,7 +291,8 @@ def test_pool_is_no_larger_than_the_runs_or_the_cores(tmp_path, monkeypatch,
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    # run_experiment imports the executor from here when it forks a pool.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cores)))
     results = run_experiment(fast_experiment(tmp_path, jobs=jobs, runs=runs),
                              stdout=io.StringIO())
@@ -302,6 +307,31 @@ def test_pool_is_no_larger_than_the_runs_or_the_cores(tmp_path, monkeypatch,
                              stdout=io.StringIO())
     assert sizes == ([] if workers is None else [workers])
     assert results[("standard", 0.5)].n_runs == runs
+
+
+# Run in a fresh interpreter: the test process has imported pytest, which
+# loads the pool machinery itself.
+SINGLE_RUN_SCRIPT = """
+import sys
+import coexsim
+from coexsim.scenario import RoadConfig
+cfg = coexsim.EngineConfig(road=RoadConfig(length_m=300.0, density_veh_per_km=20.0),
+                           itsg5_fraction=0.5, warm_up_s=0.2, measure_s=0.5)
+coexsim.Simulation(cfg, seed=1).run()
+print(sorted(m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules))
+"""
+
+
+def test_a_single_run_imports_no_process_pool():
+    # Only run_experiment's pooled branch needs concurrent.futures and the
+    # multiprocessing it pulls in; the two-worker sweep in
+    # test_protocol_invariants.py checks that branch still forks.
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", SINGLE_RUN_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_overrides():
