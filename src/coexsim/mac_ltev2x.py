@@ -78,15 +78,6 @@ class SensingHistory:
             power_mw = rec.rx_lte_mw if power_mw is None else power_mw + rec.rx_lte_mw
             if rec.lte:
                 self.blind[row, rec.lte_col] = True
-        ended = t_us // TTI_US - 1  # the last TTI that has ended by t_us
-        if power_mw is None and ended > self.last_finalized_tti + 1:
-            # Nothing on air: the TTIs before the last ended one close as they
-            # are, each clearing the row of the TTI that opens after it.
-            opened = np.arange(max(self.last_finalized_tti + 2, ended + 1 - self.window),
-                               ended + 1) % self.window
-            self.energy_mw_us[opened] = 0.0
-            self.blind[opened] = False
-            self.last_finalized_tti = ended - 1
         while True:
             tti = self.last_finalized_tti + 1
             start = tti * TTI_US

@@ -1,8 +1,5 @@
 """Sidelink SPS: sensing history, candidate ranking, counter and keep logic."""
 
-import copy
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -142,28 +139,6 @@ def test_finalize_clears_the_row_of_the_opening_tti():
     # TTI 1000 opened on TTI 0's row: it starts with no energy and heard.
     assert h.energy_mw_us[0, 0] == 0.0 and not h.blind[0, 0]
     assert (h.energy_mw_us[1:, 0] == 1.0).all() and h.blind[1:, 0].all()
-
-
-@pytest.mark.parametrize("silent_ttis", [1, 2, 5, WINDOW_TTIS - 1, WINDOW_TTIS + 3])
-def test_a_silent_stretch_closes_as_its_ttis_one_by_one(silent_ttis):
-    # With nothing on air, advance closes the ended TTIs together; it must
-    # leave the rows that finalizing them in turn leaves.
-    frames = []
-    h = SensingHistory(2, NOISE_MW, WINDOW_TTIS, frames)
-    for t in range(WINDOW_TTIS + 10):
-        frames[:] = [SimpleNamespace(lte=True, lte_col=t % 2,
-                                     rx_lte_mw=np.array([1.0 + t, 2.0 * t]))]
-        h.advance(t * TTI_US + 300)
-    frames.clear()
-    end_us = (WINDOW_TTIS + 9 + silent_ttis) * TTI_US + 500
-    expected = copy.deepcopy(h)
-    for tti in range(expected.last_finalized_tti + 1, end_us // TTI_US):
-        expected.finalize(tti)
-    h.advance(end_us)
-    assert h.last_finalized_tti == expected.last_finalized_tti == end_us // TTI_US - 1
-    np.testing.assert_array_equal(h.energy_mw_us, expected.energy_mw_us)
-    np.testing.assert_array_equal(h.blind, expected.blind)
-    assert h.energy_mw_us.any() == (silent_ttis < WINDOW_TTIS)
 
 
 def test_select_resource_window_and_bookkeeping():
